@@ -12,10 +12,7 @@ from .cox import CoxFit, FitControl, fit, log_partial_likelihood, score_and_info
 from .data import (
     ColumnSchema,
     ConditioningSet,
-    Observation,
-    RiskSetView,
     SurvivalDataset,
-    build_risk_sets,
     read_csv,
     standardize,
     validate,

@@ -7,7 +7,6 @@ by the inverse Kaplan-Meier estimate of the censoring survival function.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,19 +31,6 @@ class BaselineResult:
     degenerate: tuple = field(default=())  # columns flagged for zero weighted variance
 
 
-def _rank_values(values, failed=None):
-    p = len(values)
-    failed = set() if failed is None else set(failed)
-
-    def key(j):
-        v = values[j - 1]
-        if j in failed or not np.isfinite(v):
-            return (1, 0.0, j)
-        return (0, -float(v), j)
-
-    return tuple(sorted(range(1, p + 1), key=key))
-
-
 def psis(dataset: SurvivalDataset, flavor="wald", control=cox.FitControl(), workers=1) -> BaselineResult:
     """Marginal (one covariate at a time) Cox screening; flavor 'wald' or 'plik'."""
     if flavor not in ("wald", "plik"):
@@ -53,14 +39,11 @@ def psis(dataset: SurvivalDataset, flavor="wald", control=cox.FitControl(), work
         dataset, ConditioningSet(), control, statistics=(flavor,), workers=workers
     )
     values = np.full(dataset.p, np.nan)
-    failed = []
     for rec in result.records:
         if rec.fit_status == screening.CONVERGED:
             values[rec.index - 1] = rec.statistic(flavor)
-        else:
-            failed.append(rec.index)
     method = PSIS_WALD if flavor == "wald" else PSIS_PLIK
-    return BaselineResult(method, values, _rank_values(values, failed))
+    return BaselineResult(method, values, result.rankings[flavor])
 
 
 def ipw_weights(dataset: SurvivalDataset) -> np.ndarray:
@@ -123,7 +106,8 @@ def cors(dataset: SurvivalDataset, log_time: bool = False) -> BaselineResult:
             values[j - 1] = 0.0
         else:
             values[j - 1] = min(r, 1.0)
-    return BaselineResult(CORS, values, _rank_values(values), tuple(degenerate))
+    ranking = screening.rank(np.arange(1, dataset.p + 1), values)
+    return BaselineResult(CORS, values, ranking, tuple(degenerate))
 
 
 def cris(dataset: SurvivalDataset) -> BaselineResult:
@@ -145,12 +129,4 @@ def cris(dataset: SurvivalDataset) -> BaselineResult:
         z = dataset.column(j)
         conc = (z[:, None] < z[None, :]).astype(float) - 0.5
         values[j - 1] = min(2.0 * abs(np.sum(pair_w * conc)) / total, 1.0)
-    return BaselineResult(CRIS, values, _rank_values(values))
-
-
-def baseline_to_csv(result: BaselineResult, covariate_names, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "index", "name", "statistic"])
-        for j in range(1, len(covariate_names) + 1):
-            writer.writerow([result.method, j, covariate_names[j - 1], repr(float(result.statistics[j - 1]))])
+    return BaselineResult(CRIS, values, screening.rank(np.arange(1, dataset.p + 1), values))

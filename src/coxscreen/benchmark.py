@@ -14,16 +14,6 @@ CS_METHODS = ("cs-mple", "cs-wald", "cs-plik")
 MARGINAL_METHODS = (baselines.PSIS_WALD, baselines.PSIS_PLIK, baselines.CORS, baselines.CRIS)
 ALL_METHODS = CS_METHODS + MARGINAL_METHODS
 
-AUTO_CONDITIONING = "auto"
-
-
-def _resolve_conditioning(spec, dataset, control):
-    if spec == AUTO_CONDITIONING:
-        return screening.default_conditioning(dataset, control)
-    if spec is None:
-        return ConditioningSet((1,))
-    return spec if isinstance(spec, ConditioningSet) else ConditioningSet(tuple(spec))
-
 
 def _score(method, ranking, rep, conditioning, budget, sure_k):
     cond = conditioning if method in CS_METHODS else ConditioningSet()
@@ -36,57 +26,53 @@ def _score(method, ranking, rep, conditioning, budget, sure_k):
 
 def run_replicate(args):
     """Scores for one replicate; top-level so worker pools can pickle it."""
-    config, replicate_id, methods, conditioning_spec, control = args
+    config, replicate_id, methods, conditioning, control = args
     rep = simulate.gen_replicate(config, replicate_id)
     dataset = rep.dataset
-    budget = config.n
-    sure_k = screening.default_top_k(config.n)
-    scores = []
+    cs_stats = tuple(m.split("-", 1)[1] for m in methods if m in CS_METHODS)
+    auto = conditioning == screening.AUTO
+    rankings = {}
 
-    cs_requested = [m for m in methods if m in CS_METHODS]
-    if cs_requested:
-        cond = _resolve_conditioning(conditioning_spec, dataset, control)
-        stats = tuple(m.split("-", 1)[1] for m in cs_requested)
-        result = screening.screen(dataset, cond, control, statistics=stats)
-        for method in cs_requested:
-            ranking = result.rankings[method.split("-", 1)[1]]
-            scores.append(_score(method, ranking, rep, cond, budget, sure_k))
-
-    psis_requested = [m for m in methods if m in (baselines.PSIS_WALD, baselines.PSIS_PLIK)]
-    if psis_requested:
-        flavors = tuple(m.split("-", 1)[1] for m in psis_requested)
-        marginal = screening.screen(dataset, ConditioningSet(), control, statistics=flavors)
-        for method in psis_requested:
-            ranking = marginal.rankings[method.split("-", 1)[1]]
-            scores.append(_score(method, ranking, rep, ConditioningSet(), budget, sure_k))
-
+    psis_requested = {baselines.PSIS_WALD, baselines.PSIS_PLIK} & set(methods)
+    if psis_requested or (cs_stats and auto):
+        # one marginal sweep serves both PSIS flavors and the automatic choice of C
+        marginal = screening.screen(dataset, ConditioningSet(), control, ("wald", "plik"))
+        rankings[baselines.PSIS_WALD] = marginal.rankings["wald"]
+        rankings[baselines.PSIS_PLIK] = marginal.rankings["plik"]
+    cond = ConditioningSet()
+    if cs_stats:
+        cond = screening.top_marginal_wald(marginal) if auto else conditioning
+        result = screening.screen(dataset, cond, control, statistics=cs_stats)
+        rankings.update({f"cs-{s}": ranking for s, ranking in result.rankings.items()})
     if baselines.CORS in methods:
-        scores.append(
-            _score(baselines.CORS, baselines.cors(dataset).ranking, rep, ConditioningSet(), budget, sure_k)
-        )
+        rankings[baselines.CORS] = baselines.cors(dataset).ranking
     if baselines.CRIS in methods:
-        scores.append(
-            _score(baselines.CRIS, baselines.cris(dataset).ranking, rep, ConditioningSet(), budget, sure_k)
-        )
-    order = {m: i for i, m in enumerate(methods)}
-    return sorted(scores, key=lambda s: order[s.method])
+        rankings[baselines.CRIS] = baselines.cris(dataset).ranking
+
+    sure_k = screening.default_top_k(config.n)
+    return [_score(m, rankings[m], rep, cond, config.n, sure_k) for m in methods]
 
 
 def run_benchmark(
     config: simulate.SimConfig,
     replicates: int,
     methods=ALL_METHODS,
-    conditioning=None,
+    conditioning=ConditioningSet((1,)),
     control: FitControl = FitControl(),
     workers: int = 1,
 ):
-    """Run all methods on `replicates` shared datasets; returns (scores, summaries)."""
+    """Run all methods on `replicates` shared datasets; returns (scores, summaries).
+
+    `conditioning` is any spec screening.parse_conditioning accepts; 'auto'
+    picks C per replicate from its marginal Wald sweep.
+    """
     methods = tuple(methods)
     for m in methods:
         if m not in ALL_METHODS:
             raise ValidationError(f"unknown method '{m}'; choose from {ALL_METHODS}")
     if replicates < 1:
         raise ValidationError("need at least 1 replicate")
+    conditioning = screening.parse_conditioning(conditioning)
     if config.censor_upper is None and config.censor_target > 0:
         c, _ = simulate.calibrate_censoring(config)
         config = replace(config, censor_upper=c)

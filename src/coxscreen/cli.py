@@ -12,9 +12,9 @@ import csv
 import os
 import sys
 
-from . import baselines, benchmark, diagnostics, metrics, screening, simulate
+from . import benchmark, diagnostics, metrics, screening, simulate
 from .cox import FitControl
-from .data import ColumnSchema, ConditioningSet, read_csv, write_csv
+from .data import ColumnSchema, read_csv, write_csv
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -34,20 +34,6 @@ def _default_seed():
         except ValueError:
             raise ConfigError(f"COXSCREEN_SEED must be an integer, got '{env}'") from None
     return 0
-
-
-def _parse_conditioning(text):
-    if text is None or text == "none":
-        return None
-    if text == "auto":
-        return "auto"
-    try:
-        indices = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--conditioning must be 'auto', 'none' or a comma list, got '{text}'") from None
-    if not indices:
-        raise ConfigError("--conditioning index list is empty")
-    return ConditioningSet(indices)
 
 
 def _parse_stats(text):
@@ -101,14 +87,9 @@ def cmd_screen(args):
         raise ConfigError("choose exactly one of --gamma and --top-k")
     dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
     stats = _parse_stats(args.stats)
-    cond_spec = _parse_conditioning(args.conditioning)
-    if cond_spec == "auto":
-        cond = screening.default_conditioning(dataset, workers=args.workers)
+    cond = screening.resolve_conditioning(args.conditioning, dataset, workers=args.workers)
+    if args.conditioning == screening.AUTO:
         print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)
-    elif cond_spec is None:
-        cond = ConditioningSet()
-    else:
-        cond = cond_spec
     result = screening.screen(dataset, cond, FitControl(), statistics=stats, workers=args.workers)
 
     failures = sum(1 for r in result.records if r.fit_status != screening.CONVERGED)
@@ -154,12 +135,11 @@ def cmd_simulate(args):
 def cmd_benchmark(args):
     config = _sim_config(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    cond_spec = _parse_conditioning(args.conditioning)
     scores, summaries = benchmark.run_benchmark(
         config,
         replicates=args.replicates,
         methods=methods,
-        conditioning=cond_spec,
+        conditioning=args.conditioning,
         workers=args.workers,
     )
     config_id = f"example{args.example}" if args.example else os.path.basename(args.config)
@@ -189,13 +169,7 @@ def cmd_calibrate(args):
 
 def cmd_diagnose(args):
     dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
-    cond_spec = _parse_conditioning(args.conditioning)
-    if cond_spec == "auto":
-        cond = screening.default_conditioning(dataset, workers=args.workers)
-    elif cond_spec is None:
-        cond = ConditioningSet()
-    else:
-        cond = cond_spec
+    cond = screening.resolve_conditioning(args.conditioning, dataset, workers=args.workers)
     candidates = diagnostics.signal_strengths_to_csv(dataset, cond, args.out)
     if not candidates:
         print("warning: conditioning set covers all covariates; nothing to diagnose", file=sys.stderr)

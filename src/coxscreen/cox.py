@@ -212,17 +212,3 @@ def fit(
         converged=converged,
     )
 
-
-def variance_of_last_coordinate(fit_result: CoxFit) -> float:
-    """Last diagonal entry of the inverse information: var estimate of the added coefficient."""
-    d = fit_result.information.shape[0]
-    if d == 0:
-        raise ValidationError("fit has no coefficients")
-    try:
-        inv = np.linalg.inv(fit_result.information)
-    except np.linalg.LinAlgError:
-        raise NonIdentifiableError("information matrix is singular") from None
-    value = float(inv[d - 1, d - 1])
-    if not np.isfinite(value) or value <= 0:
-        raise NonIdentifiableError("nonpositive variance estimate")
-    return value

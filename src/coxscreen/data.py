@@ -1,4 +1,4 @@
-"""Right-censored survival data: containers, validation, risk sets, CSV I/O.
+"""Right-censored survival data: containers, validation, CSV I/O.
 
 Conventions used throughout the package:
 
@@ -17,23 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CSVParseError, ValidationError
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single subject: follow-up time, event indicator and covariate row."""
-
-    time: float
-    status: int
-    covariates: np.ndarray
-
-    def __post_init__(self):
-        if not math.isfinite(self.time) or self.time < 0:
-            raise ValidationError(f"time must be finite and >= 0, got {self.time}")
-        if self.status not in (0, 1):
-            raise ValidationError(f"status must be 0 or 1, got {self.status}")
-        if not np.all(np.isfinite(self.covariates)):
-            raise ValidationError("covariates contain non-finite values")
 
 
 class SurvivalDataset:
@@ -86,9 +69,6 @@ class SurvivalDataset:
     def p(self):
         return self.covariates.shape[1]
 
-    def observation(self, i):
-        return Observation(float(self.time[i]), int(self.status[i]), self.covariates[i])
-
     def column(self, j):
         """Covariate column by 1-based index j."""
         if not 1 <= j <= self.p:
@@ -136,22 +116,12 @@ class ConditioningSet:
 
 
 @dataclass(frozen=True)
-class RiskSetView:
-    """Distinct event times, tie multiplicities and the at-risk sets at each."""
-
-    event_times: np.ndarray
-    event_counts: np.ndarray
-    risk_membership: list  # one 0-based observation-index array per event time
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     n: int
     p: int
     events: int
     censored: int
     constant_columns: list = field(default_factory=list)  # 1-based
-    duplicate_times: int = 0
 
 
 @dataclass(frozen=True)
@@ -167,26 +137,13 @@ def validate(dataset: SurvivalDataset) -> ValidationReport:
         raise ValidationError("no events: all observations are censored")
     col_range = dataset.covariates.max(axis=0) - dataset.covariates.min(axis=0)
     constant = [int(j) + 1 for j in np.nonzero(col_range == 0.0)[0]]
-    uniq, counts = np.unique(dataset.time, return_counts=True)
     return ValidationReport(
         n=dataset.n,
         p=dataset.p,
         events=events,
         censored=dataset.n - events,
         constant_columns=constant,
-        duplicate_times=int(np.sum(counts > 1)),
     )
-
-
-def build_risk_sets(dataset: SurvivalDataset) -> RiskSetView:
-    """Risk sets {i : X_i >= t} at each distinct event time t."""
-    event_mask = dataset.status == 1
-    event_times = np.unique(dataset.time[event_mask])
-    counts = np.array(
-        [int(np.sum(event_mask & (dataset.time == t))) for t in event_times], dtype=int
-    )
-    membership = [np.nonzero(dataset.time >= t)[0] for t in event_times]
-    return RiskSetView(event_times=event_times, event_counts=counts, risk_membership=membership)
 
 
 def standardize(dataset: SurvivalDataset):

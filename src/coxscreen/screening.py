@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cox
 from .data import ConditioningSet, SurvivalDataset, validate
-from .errors import NonIdentifiableError, SeparationError, ValidationError
+from .errors import ConfigError, NonIdentifiableError, SeparationError, ValidationError
 
 STATISTICS = ("mple", "wald", "plik")
 
@@ -29,6 +29,8 @@ CONVERGED = "converged"
 SEPARATION = "separation"
 SINGULAR = "singular"
 NOT_CONVERGED = "not_converged"
+
+AUTO = "auto"  # conditioning spec: pick C by default_conditioning
 
 
 @dataclass(frozen=True)
@@ -67,53 +69,51 @@ class ScreeningResult:
         raise ValidationError(f"no screening record for covariate {j}")
 
 
-def _fit_one(dataset, cond_indices, j, control, init):
-    columns = list(cond_indices) + [j]
-    beta = float("nan")
-    sigma = float("nan")
-    wald = float("nan")
-    plik = float("nan")
-    cond_part = ()
+def _fit_one(dataset, columns, control, init, null_loglik):
+    j = columns[-1]
+    nan = float("nan")
     try:
         fit_res = cox.fit(dataset, columns, control, init=init)
     except SeparationError:
-        return CovariateScreenRecord(j, beta, sigma, wald, plik, SEPARATION, 0)
+        return CovariateScreenRecord(j, nan, nan, nan, nan, SEPARATION, 0)
     except NonIdentifiableError:
-        return CovariateScreenRecord(j, beta, sigma, wald, plik, SINGULAR, 0)
+        return CovariateScreenRecord(j, nan, nan, nan, nan, SINGULAR, 0)
     if not fit_res.converged:
-        return CovariateScreenRecord(j, beta, sigma, wald, plik, NOT_CONVERGED, fit_res.iterations)
+        return CovariateScreenRecord(j, nan, nan, nan, nan, NOT_CONVERGED, fit_res.iterations)
     beta = float(fit_res.coefficients[-1])
-    cond_part = tuple(float(v) for v in fit_res.coefficients[:-1])
-    try:
-        sigma = math.sqrt(cox.variance_of_last_coordinate(fit_res))
-    except NonIdentifiableError:
-        return CovariateScreenRecord(j, beta, float("nan"), wald, plik, SINGULAR, fit_res.iterations)
+    variance = float(fit_res.variances[-1])
+    if not (math.isfinite(variance) and variance > 0):
+        return CovariateScreenRecord(j, beta, nan, nan, nan, SINGULAR, fit_res.iterations)
+    sigma = math.sqrt(variance)
     return CovariateScreenRecord(
         index=j,
         beta_hat=beta,
         sigma_hat=sigma,
         wald=abs(beta) / sigma,
-        plik=fit_res.loglik,  # null loglik subtracted by the caller
+        plik=fit_res.loglik - null_loglik,
         fit_status=CONVERGED,
         iterations=fit_res.iterations,
-        conditioning_coefficients=cond_part,
+        conditioning_coefficients=tuple(float(v) for v in fit_res.coefficients[:-1]),
     )
 
 
 def _screen_chunk(args):
-    dataset, cond_indices, js, control, init = args
-    return [_fit_one(dataset, cond_indices, j, control, init) for j in js]
+    dataset, cond_indices, js, control, null_fit = args
+    init = np.append(null_fit.coefficients, 0.0)
+    return [
+        _fit_one(dataset, list(cond_indices) + [j], control, init, null_fit.loglik) for j in js
+    ]
 
 
-def _rank(records, statistic):
-    def key(rec):
-        failed = rec.fit_status != CONVERGED
-        value = rec.statistic(statistic)
-        if failed or not math.isfinite(value):
-            return (1, 0.0, rec.index)
-        return (0, -value, rec.index)
-
-    return tuple(rec.index for rec in sorted(records, key=key))
+def rank(indices, values, failed=None):
+    """Indices by descending value, ties by ascending index; failed or non-finite values last."""
+    indices = np.asarray(indices, dtype=int)
+    values = np.asarray(values, dtype=float)
+    last = ~np.isfinite(values)
+    if failed is not None:
+        last |= np.asarray(failed, dtype=bool)
+    order = np.lexsort((indices, np.where(last, 0.0, -values), last))
+    return tuple(int(j) for j in indices[order])
 
 
 def screen(
@@ -141,35 +141,23 @@ def screen(
     null_fit = cox.fit(dataset, conditioning.indices, control)
     if not null_fit.converged:
         raise NonIdentifiableError("null model on the conditioning set did not converge")
-    init = np.append(null_fit.coefficients, 0.0)
 
     candidates = conditioning.complement(dataset.p)
     if workers <= 1 or len(candidates) < 2 * workers:
-        records = _screen_chunk((dataset, conditioning.indices, candidates, control, init))
+        records = _screen_chunk((dataset, conditioning.indices, candidates, control, null_fit))
     else:
-        chunks = [list(c) for c in np.array_split(candidates, workers)]
+        chunks = [c.tolist() for c in np.array_split(candidates, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 _screen_chunk,
-                [(dataset, conditioning.indices, c, control, init) for c in chunks],
+                [(dataset, conditioning.indices, c, control, null_fit) for c in chunks],
             )
             records = [rec for part in parts for rec in part]
-    records = [
-        rec
-        if rec.fit_status != CONVERGED
-        else CovariateScreenRecord(
-            rec.index,
-            rec.beta_hat,
-            rec.sigma_hat,
-            rec.wald,
-            rec.plik - null_fit.loglik,
-            rec.fit_status,
-            rec.iterations,
-            rec.conditioning_coefficients,
-        )
-        for rec in sorted(records, key=lambda r: r.index)
-    ]
-    rankings = {name: _rank(records, name) for name in statistics}
+    failed = [rec.fit_status != CONVERGED for rec in records]
+    rankings = {
+        name: rank(candidates, [rec.statistic(name) for rec in records], failed)
+        for name in statistics
+    }
     return ScreeningResult(
         conditioning=conditioning,
         null_fit=null_fit,
@@ -207,12 +195,50 @@ def default_top_k(n):
     return int(math.floor(n / math.log(n)))
 
 
+def top_marginal_wald(marginal: ScreeningResult) -> ConditioningSet:
+    """The automatic conditioning set: the top covariate of a marginal Wald screen."""
+    return ConditioningSet((marginal.rankings["wald"][0],))
+
+
 def default_conditioning(
     dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl(), workers: int = 1
 ) -> ConditioningSet:
     """Single conditioning variable: the top covariate of a marginal Wald screen."""
     marginal = screen(dataset, ConditioningSet(), control, statistics=("wald",), workers=workers)
-    return ConditioningSet((marginal.rankings["wald"][0],))
+    return top_marginal_wald(marginal)
+
+
+def parse_conditioning(spec):
+    """A ConditioningSet, or AUTO, from a conditioning spec.
+
+    The spec is 'none', 'auto', a comma list of 1-based indices, an index
+    sequence or a ConditioningSet.
+    """
+    if isinstance(spec, ConditioningSet) or spec == AUTO:
+        return spec
+    if spec == "none":
+        return ConditioningSet()
+    if not isinstance(spec, str):
+        return ConditioningSet(tuple(spec))
+    try:
+        indices = tuple(int(tok) for tok in spec.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(
+            f"conditioning must be 'auto', 'none' or a comma list, got '{spec}'"
+        ) from None
+    if not indices:
+        raise ConfigError("conditioning index list is empty")
+    return ConditioningSet(indices)
+
+
+def resolve_conditioning(
+    spec, dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl(), workers: int = 1
+) -> ConditioningSet:
+    """The ConditioningSet a spec names on this dataset; 'auto' runs default_conditioning."""
+    cond = parse_conditioning(spec)
+    if cond == AUTO:
+        return default_conditioning(dataset, control, workers)
+    return cond
 
 
 def result_to_csv(result: ScreeningResult, path):

@@ -6,7 +6,30 @@ maximization is derivative-free, and the Kaplan-Meier product is a literal
 product over censoring times.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class RiskSetView:
+    """Distinct event times, tie multiplicities and the at-risk sets at each."""
+
+    event_times: np.ndarray
+    event_counts: np.ndarray
+    risk_membership: list  # one 0-based observation-index array per event time
+
+
+def build_risk_sets(dataset):
+    """Risk sets {i : X_i >= t} at each distinct event time t."""
+    event_mask = dataset.status == 1
+    event_times = np.unique(dataset.time[event_mask])
+    counts = np.array(
+        [int(np.sum(event_mask & (dataset.time == t))) for t in event_times], dtype=int
+    )
+    membership = [np.nonzero(dataset.time >= t)[0] for t in event_times]
+    return RiskSetView(event_times=event_times, event_counts=counts, risk_membership=membership)
 
 
 def brute_loglik(time, status, z, beta):
@@ -145,6 +168,35 @@ def brute_cris(time, status, zj, weights):
     if den == 0:
         return 0.0
     return min(abs(2.0 * num / den), 1.0)
+
+
+def brute_rank(indices, values, failed=None):
+    """Ranking by pairwise comparison from the written rule, no sort key.
+
+    Converged finite values come first by descending value; equal values (0.0
+    and -0.0 are equal) go by ascending index; failed or non-finite entries
+    follow by ascending index.
+    """
+    def last(k):
+        return bool(failed is not None and failed[k]) or not math.isfinite(values[k])
+
+    def before(a, b):
+        if last(a) != last(b):
+            return not last(a)
+        if not last(a) and values[a] != values[b]:
+            return values[a] > values[b]
+        return indices[a] < indices[b]
+
+    remaining = list(range(len(indices)))
+    out = []
+    while remaining:
+        best = remaining[0]
+        for k in remaining[1:]:
+            if before(k, best):
+                best = k
+        remaining.remove(best)
+        out.append(int(indices[best]))
+    return tuple(out)
 
 
 def brute_mms(ranking, targets):

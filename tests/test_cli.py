@@ -72,6 +72,15 @@ class TestScreenCommand:
         payload = json.loads(open(out).read())
         assert payload["conditioning"] == [1]
 
+    def test_json_output_same_for_any_worker_count(self, toy_csv, tmp_path):
+        outs = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}.json")
+            assert main(["screen", "--input", toy_csv, "--conditioning", "1", "--format", "json",
+                         "--workers", workers, "--out", out]) == 0
+            outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
+
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = main(["screen", "--input", str(tmp_path / "nope.csv"), "--out", "x.csv"])
         assert code == 1
@@ -185,6 +194,21 @@ class TestBenchmarkCommand:
             )
         # config_id differs only via --out basename, which is not embedded
         assert files["a"] == files["b"]
+
+    def test_none_conditioning_scores_match_psis(self, tmp_path):
+        out = str(tmp_path / "none.csv")
+        code = main(
+            ["benchmark", "--example", "2", "--n", "60", "--p", "8", "--censoring", "0.2",
+             "--seed", "2", "--replicates", "3", "--conditioning", "none",
+             "--methods", "cs-wald,cs-plik,psis-wald,psis-plik", "--out", out]
+        )
+        assert code == 0
+        header, *rows = _read_rows(str(tmp_path / "none_scores.csv"))
+        method = header.index("method")
+        by = {(r[method], tuple(r[:method] + r[method + 1:])) for r in rows}
+        for stat in ("wald", "plik"):
+            cs = {rest for m, rest in by if m == f"cs-{stat}"}
+            assert cs and cs == {rest for m, rest in by if m == f"psis-{stat}"}
 
 
 class TestCalibrateCommand:

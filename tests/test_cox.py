@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from coxscreen.cox import (
-    CoxFit,
-    FitControl,
-    fit,
-    log_partial_likelihood,
-    score_and_information,
-    variance_of_last_coordinate,
-)
-from coxscreen.data import SurvivalDataset, build_risk_sets
+from coxscreen.cox import FitControl, fit, log_partial_likelihood, score_and_information
+from coxscreen.data import SurvivalDataset
 from coxscreen.errors import NonIdentifiableError, SeparationError, ValidationError
 
 from conftest import random_dataset
-from oracles import brute_loglik, fd_gradient, fd_jacobian, gauss_elim_inverse, golden_max
+from oracles import (
+    brute_loglik,
+    build_risk_sets,
+    fd_gradient,
+    fd_jacobian,
+    gauss_elim_inverse,
+    golden_max,
+)
 
 
 class TestLogPartialLikelihood:
@@ -159,8 +159,8 @@ class TestFit:
         a, b = fit(ds, [1, 2]), fit(scaled, [1, 2])
         assert b.coefficients[0] == pytest.approx(a.coefficients[0] / s, abs=1e-8)
         assert b.coefficients[1] == pytest.approx(a.coefficients[1], abs=1e-8)
-        sig_a = math.sqrt(variance_of_last_coordinate(a))
-        sig_b = math.sqrt(variance_of_last_coordinate(b))
+        sig_a = math.sqrt(a.variances[-1])
+        sig_b = math.sqrt(b.variances[-1])
         assert sig_b == pytest.approx(sig_a, abs=1e-8)
         # wald of the rescaled coordinate is invariant
         wa = abs(a.coefficients[0]) / math.sqrt(a.variances[0])
@@ -197,25 +197,9 @@ class TestFit:
 
 
 class TestVarianceOfLastCoordinate:
-    def test_scalar_inverse(self):
-        f = CoxFit(np.array([0.1]), 0.0, 0.0, np.array([[4.0]]), np.array([0.25]), 1, True)
-        assert variance_of_last_coordinate(f) == 0.25
-
-    def test_diagonal_inverse(self):
-        f = CoxFit(
-            np.array([0.1, 0.2]), 0.0, 0.0, np.array([[2.0, 0.0], [0.0, 4.0]]),
-            np.array([0.5, 0.25]), 1, True,
-        )
-        assert variance_of_last_coordinate(f) == 0.25
-
     def test_matches_gauss_elimination(self, rng):
         ds = random_dataset(rng, 50, 3, beta=np.array([0.5, 0.0, -0.5]), censor_upper=3.0)
         result = fit(ds, [1, 2, 3])
         assert result.converged
         inv = gauss_elim_inverse(result.information)
-        assert variance_of_last_coordinate(result) == pytest.approx(inv[2, 2], abs=1e-10)
-
-    def test_singular_errors(self):
-        f = CoxFit(np.array([0.1]), 0.0, 0.0, np.array([[0.0]]), np.array([np.nan]), 1, True)
-        with pytest.raises(NonIdentifiableError):
-            variance_of_last_coordinate(f)
+        assert result.variances[-1] == pytest.approx(inv[2, 2], abs=1e-10)

@@ -4,9 +4,7 @@ import pytest
 from coxscreen.data import (
     ColumnSchema,
     ConditioningSet,
-    Observation,
     SurvivalDataset,
-    build_risk_sets,
     read_csv,
     standardize,
     validate,
@@ -15,6 +13,7 @@ from coxscreen.data import (
 from coxscreen.errors import CSVParseError, ValidationError
 
 from conftest import random_dataset
+from oracles import build_risk_sets
 
 
 def make(times, statuses, covs):
@@ -52,19 +51,6 @@ class TestValidate:
     def test_too_small(self):
         with pytest.raises(ValidationError, match="at least 2"):
             make([1], [1], [[0.1]])
-
-
-class TestObservation:
-    def test_roundtrip(self):
-        ds = make([1, 2], [1, 0], [[0.5], [0.7]])
-        obs = ds.observation(1)
-        assert obs == Observation(2.0, 0, np.array([0.7]))
-
-    def test_invariants(self):
-        with pytest.raises(ValidationError):
-            Observation(-1.0, 1, np.array([0.0]))
-        with pytest.raises(ValidationError):
-            Observation(1.0, 3, np.array([0.0]))
 
 
 class TestRiskSets:

@@ -1,17 +1,22 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coxscreen import cox
 from coxscreen.cox import FitControl, fit
 from coxscreen.data import ConditioningSet, SurvivalDataset
-from coxscreen.errors import ValidationError
+from coxscreen.errors import ConfigError, ValidationError
 from coxscreen.screening import (
+    AUTO,
     CONVERGED,
     SINGULAR,
     default_conditioning,
     default_top_k,
+    parse_conditioning,
+    rank,
     result_to_csv,
     result_to_json,
     screen,
@@ -20,6 +25,7 @@ from coxscreen.screening import (
 )
 
 from conftest import random_dataset
+from oracles import brute_rank
 
 
 @pytest.fixture
@@ -50,6 +56,22 @@ class TestScreen:
         ds = SurvivalDataset(t, np.ones(40), z)
         result = screen(ds, ConditioningSet((1,)))
         assert result.rankings["mple"][-1] == 4
+
+    def test_nonpositive_variance_is_singular(self, dataset, monkeypatch):
+        real_fit = cox.fit
+        for bad in (0.0, float("nan")):
+            def fit_with_bad_variance(ds, columns, *args, bad=bad, **kwargs):
+                res = real_fit(ds, columns, *args, **kwargs)
+                if list(columns) == [1, 3]:
+                    return replace(res, variances=np.array([res.variances[0], bad]))
+                return res
+
+            monkeypatch.setattr(cox, "fit", fit_with_bad_variance)
+            result = screen(dataset, ConditioningSet((1,)))
+            rec = result.record(3)
+            assert rec.fit_status == SINGULAR
+            assert math.isnan(rec.sigma_hat) and math.isnan(rec.wald)
+            assert result.rankings["wald"][-1] == 3
 
     def test_records_cover_complement(self, dataset):
         result = screen(dataset, ConditioningSet((2, 4)))
@@ -95,6 +117,37 @@ class TestScreen:
             pytest.skip("censoring draw left too many events")
         with pytest.raises(ValidationError, match="conditioning set size"):
             screen(ds, ConditioningSet(tuple(range(1, events + 1))))
+
+
+class TestRank:
+    def test_matches_brute_rank(self):
+        values = [0.0, np.nan, 2.0, 9.0, -0.0, np.inf]
+        failed = [False, False, False, True, False, False]
+        assert rank([6, 1, 2, 3, 4, 5], values, failed) == (2, 4, 6, 1, 3, 5)
+        rng = np.random.default_rng(7)
+        pool = np.array([0.0, -0.0, 0.5, 1.5, 1.5, -2.0, np.nan, np.inf, -np.inf])
+        for _ in range(300):
+            m = int(rng.integers(0, 12))
+            values = np.where(rng.random(m) < 0.6, rng.choice(pool, m), rng.normal(size=m))
+            indices = rng.permutation(40)[:m] + 1  # distinct, not sorted
+            failed = rng.random(m) < 0.25
+            assert rank(indices, values, failed) == brute_rank(indices, values, failed)
+            assert rank(indices, values) == brute_rank(indices, values)
+
+
+class TestParseConditioning:
+    def test_specs(self):
+        assert parse_conditioning("none") == ConditioningSet()
+        assert parse_conditioning("auto") == AUTO
+        assert parse_conditioning("2,5") == ConditioningSet((2, 5))
+        assert parse_conditioning((3,)) == ConditioningSet((3,))
+        cond = ConditioningSet((1,))
+        assert parse_conditioning(cond) is cond
+
+    def test_bad_specs(self):
+        for spec in ("1;2", ",", "", "x"):
+            with pytest.raises(ConfigError):
+                parse_conditioning(spec)
 
 
 class TestSelection:
