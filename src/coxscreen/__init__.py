@@ -28,7 +28,7 @@ from .errors import (
     SeparationError,
     ValidationError,
 )
-from .metrics import BenchmarkSummary, ReplicateScore, density_table, mms, summarize, tpr
+from .metrics import BenchmarkSummary, ReplicateScore, mms, summarize, tpr
 from .screening import (
     CovariateScreenRecord,
     ScreeningResult,

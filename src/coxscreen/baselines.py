@@ -28,7 +28,7 @@ class BaselineResult:
     method: str
     statistics: np.ndarray  # one value per covariate, 1-based index j at position j-1
     ranking: tuple  # covariate indices, descending statistic, index tie-break
-    degenerate: tuple = field(default=())  # columns flagged for zero weighted variance
+    degenerate: tuple = field(default=())  # zero-range columns, scored 0 (CORS and CRIS)
 
 
 def psis(dataset: SurvivalDataset, flavor="wald", control=cox.FitControl(), workers=1) -> BaselineResult:
@@ -53,70 +53,53 @@ def ipw_weights(dataset: SurvivalDataset) -> np.ndarray:
     (censorings are the "events" here) evaluated just before each follow-up
     time, floored at KM_FLOOR to bound the weights.
     """
-    report = validate(dataset)
-    if report.events == dataset.n:
-        return dataset.status.astype(float)
+    validate(dataset)
     time, status = dataset.time, dataset.status
-    cens_times = np.unique(time[status == 0])
-    # left-continuous KM of the censoring distribution at each observation time
-    surv = np.ones(dataset.n)
-    for t in cens_times:
-        at_risk = np.sum(time >= t)
-        d = np.sum((time == t) & (status == 0))
-        factor = 1.0 - d / at_risk
-        surv[time > t] *= factor
-    surv = np.maximum(surv, KM_FLOOR)
+    cens_times, cens_counts = np.unique(time[status == 0], return_counts=True)
+    at_risk = dataset.n - np.searchsorted(np.sort(time), cens_times)
+    # surv[k]: product of the KM factors of the first k censoring times
+    surv = np.cumprod(np.concatenate(([1.0], 1.0 - cens_counts / at_risk)))
+    # left-continuous: only censoring times strictly before X_i count
+    surv = np.maximum(surv[np.searchsorted(cens_times, time)], KM_FLOOR)
     return np.where(status == 1, 1.0 / surv, 0.0)
 
 
-def _weighted_abs_corr(x, z, w):
-    total = w.sum()
-    mx = np.dot(w, x) / total
-    mz = np.dot(w, z) / total
-    vx = np.dot(w, (x - mx) ** 2) / total
-    vz = np.dot(w, (z - mz) ** 2) / total
-    if vx <= 0 or vz <= 0:
-        return None
-    cov = np.dot(w, (x - mx) * (z - mz)) / total
-    return abs(cov) / np.sqrt(vx * vz)
+def _column_result(method, values, degenerate):
+    """Rank one value per column; degenerate is a boolean mask over the columns."""
+    ranking = screening.rank(np.arange(1, values.shape[0] + 1), values)
+    return BaselineResult(method, values, ranking, tuple(int(j) + 1 for j in np.flatnonzero(degenerate)))
 
 
-def cors(dataset: SurvivalDataset, log_time: bool = False) -> BaselineResult:
+def cors(dataset: SurvivalDataset) -> BaselineResult:
     """IPW-weighted absolute Pearson correlation between follow-up time and each covariate.
 
-    With log_time=True the correlation is taken against log follow-up time
-    instead; which scale is preferable depends on the hazard model, so both
-    are exposed.
+    Only events carry weight, so a column (or the follow-up time) with zero
+    range over the events has no correlation: it scores 0 and is listed in
+    `degenerate`.
     """
     w = ipw_weights(dataset)
-    if w.sum() <= 0:
-        raise ValidationError("all observations are censored; IPW correlation undefined")
-    if log_time:
-        if dataset.time.min() <= 0:
-            raise ValidationError("log time scale requires strictly positive follow-up times")
-        target = np.log(dataset.time)
-    else:
-        target = dataset.time
-    values = np.zeros(dataset.p)
-    degenerate = []
-    for j in range(1, dataset.p + 1):
-        r = _weighted_abs_corr(target, dataset.column(j), w)
-        if r is None:
-            degenerate.append(j)
-            values[j - 1] = 0.0
-        else:
-            values[j - 1] = min(r, 1.0)
-    ranking = screening.rank(np.arange(1, dataset.p + 1), values)
-    return BaselineResult(CORS, values, ranking, tuple(degenerate))
+    x, time = dataset.covariates, dataset.time
+    events = w > 0
+    x_events = x[events]
+    degenerate = x_events.max(axis=0) == x_events.min(axis=0)
+    if np.ptp(time[events]) == 0:
+        degenerate[:] = True
+    total = w.sum()
+    xc = x - w @ x / total
+    tc = time - w @ time / total
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.abs((w * tc) @ xc) / np.sqrt((w @ xc**2) * (w @ tc**2))
+    return _column_result(CORS, np.where(degenerate, 0.0, np.minimum(r, 1.0)), degenerate)
 
 
 def cris(dataset: SurvivalDataset) -> BaselineResult:
     """IPW-weighted concordance rank statistic per covariate.
 
     For ordered pairs (i, k) with an observed event at i and X_i < X_k, the
-    statistic is twice the absolute weighted average of I[Z_ij < Z_kj] - 1/2,
-    so it lies in [0, 1] and is invariant to strictly increasing transforms
-    of the covariate.
+    statistic is the absolute weighted average of sign(Z_kj - Z_ij), so it
+    lies in [0, 1] and is invariant to strictly increasing transforms of the
+    covariate. A pair tied in Z_j counts neither way. A zero-range column
+    scores 0 and is listed in `degenerate`.
     """
     w = ipw_weights(dataset)
     time = dataset.time
@@ -124,9 +107,15 @@ def cris(dataset: SurvivalDataset) -> BaselineResult:
     total = pair_w.sum()
     if total <= 0:
         raise ValidationError("no comparable pairs for the rank statistic")
+    z_sorted = np.sort(dataset.covariates, axis=0)
+    degenerate = z_sorted[0] == z_sorted[-1]
+    tied = np.any(z_sorted[1:] == z_sorted[:-1], axis=0)
     values = np.zeros(dataset.p)
-    for j in range(1, dataset.p + 1):
-        z = dataset.column(j)
-        conc = (z[:, None] < z[None, :]).astype(float) - 0.5
-        values[j - 1] = min(2.0 * abs(np.sum(pair_w * conc)) / total, 1.0)
-    return BaselineResult(CRIS, values, screening.rank(np.arange(1, dataset.p + 1), values))
+    for j in np.flatnonzero(~degenerate):
+        z = dataset.covariates[:, j]
+        if tied[j]:
+            conc = 0.5 * np.sign(z[None, :] - z[:, None])
+        else:  # the cheaper form, equal to the sign form when no pair ties
+            conc = (z[:, None] < z[None, :]).astype(float) - 0.5
+        values[j] = min(2.0 * abs(np.sum(pair_w * conc)) / total, 1.0)
+    return _column_result(CRIS, values, degenerate)

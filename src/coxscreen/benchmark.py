@@ -34,16 +34,16 @@ def run_replicate(args):
     rankings = {}
 
     psis_requested = {baselines.PSIS_WALD, baselines.PSIS_PLIK} & set(methods)
-    if psis_requested or (cs_stats and auto):
-        # one marginal sweep serves both PSIS flavors and the automatic choice of C
-        marginal = screening.screen(dataset, ConditioningSet(), control, ("wald", "plik"))
+    if psis_requested or (cs_stats and (auto or conditioning.q == 0)):
+        # one marginal sweep serves both PSIS flavors, the automatic choice of C and an empty C
+        marginal = screening.screen(dataset, ConditioningSet(), control)
         rankings[baselines.PSIS_WALD] = marginal.rankings["wald"]
         rankings[baselines.PSIS_PLIK] = marginal.rankings["plik"]
     cond = ConditioningSet()
     if cs_stats:
         cond = screening.top_marginal_wald(marginal) if auto else conditioning
-        result = screening.screen(dataset, cond, control, statistics=cs_stats)
-        rankings.update({f"cs-{s}": ranking for s, ranking in result.rankings.items()})
+        result = screening.screen(dataset, cond, control, statistics=cs_stats) if cond.q else marginal
+        rankings.update({f"cs-{s}": result.rankings[s] for s in cs_stats})
     if baselines.CORS in methods:
         rankings[baselines.CORS] = baselines.cors(dataset).ranking
     if baselines.CRIS in methods:

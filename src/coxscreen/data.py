@@ -163,7 +163,6 @@ def standardize(dataset: SurvivalDataset):
 class ColumnSchema:
     time_col: str = "time"
     status_col: str = "status"
-    covariate_cols: list | None = None  # None means "all remaining columns"
 
 
 def _parse_cell(text, row, col_name):
@@ -188,13 +187,7 @@ def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
         for required in (schema.time_col, schema.status_col):
             if required not in header:
                 raise CSVParseError(f"{path}: missing required column '{required}'")
-        if schema.covariate_cols is None:
-            cov_names = [h for h in header if h not in (schema.time_col, schema.status_col)]
-        else:
-            cov_names = list(schema.covariate_cols)
-            for name in cov_names:
-                if name not in header:
-                    raise CSVParseError(f"{path}: missing covariate column '{name}'")
+        cov_names = [h for h in header if h not in (schema.time_col, schema.status_col)]
         if not cov_names:
             raise CSVParseError(f"{path}: no covariate columns")
         pos = {name: header.index(name) for name in header}

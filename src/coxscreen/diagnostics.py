@@ -96,6 +96,17 @@ def cle_predict(model: CLEModel, xi) -> np.ndarray:
     return pred[0] if single else pred
 
 
+def _partial_covariances(columns, target, xi, allow_singular=True) -> np.ndarray:
+    """Cov(z, t) - Cov(z, xi) Var(xi)^-1 Cov(xi, t) for every column z of `columns`.
+
+    The target t is residualised on xi once; each column then costs one inner
+    product with that residual. An empty xi (n rows, 0 columns) gives the
+    plain covariances.
+    """
+    resid = target - cle_predict(fit_cle(target, xi, allow_singular), xi)[:, 0]
+    return resid @ (columns - columns.mean(axis=0)) / target.shape[0]
+
+
 def cond_linear_cov(zeta1, zeta2, xi=None, allow_singular=True) -> float:
     """Empirical partial covariance Cov(z1,z2) - Cov(z1,xi) Var(xi)^-1 Cov(xi,z2).
 
@@ -104,25 +115,15 @@ def cond_linear_cov(zeta1, zeta2, xi=None, allow_singular=True) -> float:
     """
     z1 = np.asarray(zeta1, dtype=float).ravel()
     z2 = np.asarray(zeta2, dtype=float).ravel()
-    n = z1.shape[0]
-    if z2.shape[0] != n:
+    if z2.shape[0] != z1.shape[0]:
         raise ValidationError("zeta1 and zeta2 must have the same length")
-    c1 = z1 - z1.mean()
-    c2 = z2 - z2.mean()
-    plain = float(c1 @ c2 / n)
-    if xi is None:
-        return plain
-    xi = _as_2d(xi)
-    if xi.shape[1] == 0:
-        return plain
-    if xi.shape[0] != n:
-        raise ValidationError("xi must have the same number of rows as zeta1/zeta2")
-    xc = xi - xi.mean(axis=0)
-    var_xi = xc.T @ xc / n
-    cov1 = xc.T @ c1 / n
-    cov2 = xc.T @ c2 / n
-    solved, _ = _solve_gram(var_xi, cov2, allow_singular)
-    return plain - float(cov1 @ solved)
+    xi = np.empty((z1.shape[0], 0)) if xi is None else _as_2d(xi)
+    return float(_partial_covariances(z1[:, None], z2, xi, allow_singular)[0])
+
+
+def _signal_strengths(dataset, conditioning, z):
+    z_c = dataset.covariates[:, [k - 1 for k in conditioning.indices]]
+    return _partial_covariances(z, dataset.status.astype(float), z_c)
 
 
 def signal_strength(dataset: SurvivalDataset, conditioning: ConditioningSet, j) -> float:
@@ -133,23 +134,19 @@ def signal_strength(dataset: SurvivalDataset, conditioning: ConditioningSet, j) 
     Diagnostic only.
     """
     conditioning.check_against(dataset)
-    if j in set(conditioning.indices):
+    if j in conditioning.indices:
         raise ValidationError(f"covariate {j} is in the conditioning set")
-    z_j = dataset.column(j)
-    delta = dataset.status.astype(float)
-    if conditioning.q == 0:
-        return cond_linear_cov(z_j, delta)
-    z_c = np.column_stack([dataset.column(k) for k in conditioning.indices])
-    return cond_linear_cov(z_j, delta, z_c)
+    return float(_signal_strengths(dataset, conditioning, dataset.column(j)[:, None])[0])
 
 
 def signal_strengths_to_csv(dataset, conditioning, path):
     """Per-candidate signal strengths as CSV (index, name, signal_strength)."""
+    conditioning.check_against(dataset)
     candidates = conditioning.complement(dataset.p)
+    values = _signal_strengths(dataset, conditioning, dataset.covariates[:, [j - 1 for j in candidates]])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "name", "signal_strength"])
-        for j in candidates:
-            value = signal_strength(dataset, conditioning, j)
-            writer.writerow([j, dataset.covariate_names[j - 1], repr(value)])
+        for j, value in zip(candidates, values):
+            writer.writerow([j, dataset.covariate_names[j - 1], repr(float(value))])
     return candidates

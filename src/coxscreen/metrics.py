@@ -1,4 +1,4 @@
-"""Benchmark metrics: minimum model size, true positive rate, aggregation, KDE export."""
+"""Benchmark metrics: minimum model size, true positive rate, aggregation, CSV export."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .data import ConditioningSet
 from .errors import ValidationError
@@ -86,41 +85,6 @@ def summarize(scores) -> BenchmarkSummary:
         sure_rate=float(np.mean([s.sure_screened for s in scores])),
         replicates=len(scores),
     )
-
-
-def density_table(groups, grid=None, grid_size=512):
-    """Gaussian KDE (Silverman bandwidth) per group on a shared grid.
-
-    groups maps a label to a 1-d sample. Returns (rows, point_masses) where
-    rows are (group, x, density) tuples and point_masses lists degenerate
-    (zero-variance) groups that were skipped.
-    """
-    arrays = {name: np.asarray(vals, dtype=float) for name, vals in groups.items()}
-    for name, vals in arrays.items():
-        if vals.size < 2:
-            raise ValidationError(f"group '{name}' needs at least 2 values")
-    point_masses = [name for name, vals in arrays.items() if np.ptp(vals) == 0.0]
-    live = {name: vals for name, vals in arrays.items() if name not in point_masses}
-    if grid is None and live:
-        spread = max(vals.std() for vals in live.values())
-        lo = min(vals.min() for vals in live.values()) - 4.0 * spread
-        hi = max(vals.max() for vals in live.values()) + 4.0 * spread
-        grid = np.linspace(lo, hi, grid_size)
-    rows = []
-    for name in sorted(live):
-        kde = gaussian_kde(live[name], bw_method="silverman")
-        density = kde(grid)
-        for x, d in zip(grid, density):
-            rows.append((name, float(x), float(d)))
-    return rows, point_masses
-
-
-def density_table_to_csv(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "x", "density"])
-        for group, x, d in rows:
-            writer.writerow([group, repr(x), repr(d)])
 
 
 def summaries_to_csv(summaries, path, config_id=""):

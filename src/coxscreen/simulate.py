@@ -71,7 +71,6 @@ class SimReplicate:
     dataset: SurvivalDataset
     true_active: tuple
     realized_censoring: float
-    seed_used: int
     replicate_id: int
     clipped_linear_predictors: int = 0
 
@@ -123,25 +122,6 @@ def gen_covariates(config: SimConfig, rng) -> np.ndarray:
     z = eps.copy()
     z[:, : p - 1] = np.sqrt(1.0 - rho) * eps[:, : p - 1] + np.sqrt(rho) * eta
     return z
-
-
-def linear_predictor_covariance(config: SimConfig) -> np.ndarray:
-    """Analytic Cov(Z_j, beta'Z) for every j under the configured correlation.
-
-    Makes the hidden-variable construction explicit: in example 1 the entry
-    for variable 6 is 0.5 * 5 - 2.5 = 0 exactly.
-    """
-    beta = config.dense_beta()
-    p, rho = config.p, config.rho
-    if config.correlation == INDEPENDENT or rho == 0.0:
-        return beta.copy()
-    if config.correlation == EQUICORRELATED:
-        return (1.0 - rho) * beta + rho * beta.sum()
-    block = beta[: p - 1]
-    out = np.empty(p)
-    out[: p - 1] = (1.0 - rho) * block + rho * block.sum()
-    out[p - 1] = beta[p - 1]
-    return out
 
 
 def gen_survival_times(covariates, beta, intercept, rng):
@@ -223,7 +203,6 @@ def gen_replicate(config: SimConfig, replicate_id: int) -> SimReplicate:
         dataset=dataset,
         true_active=config.true_active,
         realized_censoring=float(np.mean(status == 0)),
-        seed_used=config.seed,
         replicate_id=replicate_id,
         clipped_linear_predictors=clipped,
     )

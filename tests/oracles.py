@@ -155,7 +155,10 @@ def brute_censoring_km_left(time, status):
 
 
 def brute_cris(time, status, zj, weights):
-    """Exhaustive ordered-pair enumeration of the weighted concordance statistic."""
+    """Exhaustive ordered-pair enumeration of the weighted concordance statistic.
+
+    A pair tied in zj counts neither way.
+    """
     n = len(time)
     num = 0.0
     den = 0.0
@@ -164,10 +167,81 @@ def brute_cris(time, status, zj, weights):
             if i == k or not time[i] < time[k]:
                 continue
             den += weights[i]
-            num += weights[i] * ((1.0 if zj[i] < zj[k] else 0.0) - 0.5)
+            if zj[i] != zj[k]:
+                num += weights[i] * (0.5 if zj[i] < zj[k] else -0.5)
     if den == 0:
         return 0.0
     return min(abs(2.0 * num / den), 1.0)
+
+
+def km_loop_ipw_weights(time, status, floor):
+    """delta_i / S_C(X_i-) with the censoring KM built by a loop over censoring times.
+
+    The update order matches the library's cumulative product factor for
+    factor, so the two agree bit for bit.
+    """
+    n = len(time)
+    if np.all(status == 1):
+        return status.astype(float)
+    surv = np.ones(n)
+    for t in np.unique(time[status == 0]):
+        at_risk = np.sum(time >= t)
+        d = np.sum((time == t) & (status == 0))
+        factor = 1.0 - d / at_risk
+        surv[time > t] *= factor
+    surv = np.maximum(surv, floor)
+    return np.where(status == 1, 1.0 / surv, 0.0)
+
+
+def per_column_cors(time, covariates, weights):
+    """Weighted |Pearson correlation| of time with each column, one column at a time.
+
+    Returns (values, degenerate) where degenerate lists the 1-based columns
+    whose weighted variance came out <= 0.
+    """
+    total = weights.sum()
+    mz = np.dot(weights, time) / total
+    vz = np.dot(weights, (time - mz) ** 2) / total
+    values = np.zeros(covariates.shape[1])
+    degenerate = []
+    for j in range(covariates.shape[1]):
+        x = covariates[:, j]
+        mx = np.dot(weights, x) / total
+        vx = np.dot(weights, (x - mx) ** 2) / total
+        if vx <= 0 or vz <= 0:
+            degenerate.append(j + 1)
+            continue
+        cov = np.dot(weights, (x - mx) * (time - mz)) / total
+        values[j] = min(abs(cov) / np.sqrt(vx * vz), 1.0)
+    return values, tuple(degenerate)
+
+
+def linear_predictor_covariance(config):
+    """Analytic Cov(Z_j, beta'Z) for every j under the configured correlation.
+
+    Makes the hidden-variable construction explicit: in example 1 the entry
+    for variable 6 is 0.5 * 5 - 2.5 = 0 exactly.
+    """
+    beta = config.dense_beta()
+    p, rho = config.p, config.rho
+    if config.correlation == "independent" or rho == 0.0:
+        return beta.copy()
+    if config.correlation == "equicorrelated":
+        return (1.0 - rho) * beta + rho * beta.sum()
+    block = beta[: p - 1]
+    out = np.empty(p)
+    out[: p - 1] = (1.0 - rho) * block + rho * block.sum()
+    out[p - 1] = beta[p - 1]
+    return out
+
+
+def lstsq_partial_covariance(z, target, z_cond):
+    """Cov(z, target | z_cond), denominator n, from least-squares residuals."""
+    n = z.shape[0]
+    design = np.column_stack([np.ones(n), z_cond])
+    rz = z - design @ np.linalg.lstsq(design, z, rcond=None)[0]
+    rt = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
+    return float(rz @ rt) / n
 
 
 def brute_rank(indices, values, failed=None):

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from coxscreen.baselines import cors, cris, ipw_weights, psis
+from coxscreen.baselines import KM_FLOOR, cors, cris, ipw_weights, psis
 from coxscreen.data import ConditioningSet, SurvivalDataset
 from coxscreen.errors import ValidationError
 from coxscreen.screening import CONVERGED, screen
 
 from conftest import random_dataset
-from oracles import brute_censoring_km_left, brute_cris
+from oracles import brute_censoring_km_left, brute_cris, km_loop_ipw_weights, per_column_cors
+
+
+def tied_dataset(rng, n, p, censor_upper):
+    """random_dataset with follow-up times rounded onto a coarse grid, so many tie."""
+    ds = random_dataset(rng, n, p, beta=0.5 * rng.normal(size=p), censor_upper=censor_upper)
+    return SurvivalDataset(np.round(ds.time, 1) + 0.1, ds.status, ds.covariates)
 
 
 class TestPSIS:
@@ -52,6 +58,15 @@ class TestIPWWeights:
         with pytest.raises(ValidationError, match="no events"):
             ipw_weights(ds)
 
+    def test_bitwise_equal_to_km_loop(self, rng):
+        for k in range(40):
+            n = int(rng.integers(3, 80))
+            censor_upper = None if k % 5 == 0 else float(rng.uniform(0.3, 4.0))  # all events
+            ds = random_dataset(rng, n, 1, censor_upper=censor_upper)
+            for data in (ds, tied_dataset(rng, n, 1, censor_upper)):
+                expected = km_loop_ipw_weights(data.time, data.status, KM_FLOOR)
+                np.testing.assert_array_equal(ipw_weights(data), expected)
+
     def test_weights_nonnegative_finite(self, rng):
         ds = random_dataset(rng, 60, 1, censor_upper=0.8)
         w = ipw_weights(ds)
@@ -88,17 +103,6 @@ class TestCORS:
         stats = cors(ds).statistics
         assert np.all(stats >= 0) and np.all(stats <= 1 + 1e-12)
 
-    def test_log_time_scale(self, rng):
-        n = 40
-        z = rng.normal(size=(n, 1))
-        t = np.exp(z[:, 0] + 0.2 * rng.normal(size=n))
-        ds = SurvivalDataset(t, np.ones(n), z)
-        # the covariate is linear in log time, so the log scale correlates better
-        assert cors(ds, log_time=True).statistics[0] > cors(ds).statistics[0]
-        bad = SurvivalDataset(np.concatenate([[0.0], t[1:]]), np.ones(n), z)
-        with pytest.raises(ValidationError, match="positive"):
-            cors(bad, log_time=True)
-
     def test_degenerate_column_flagged(self, rng):
         z = rng.normal(size=(20, 2))
         z[:, 1] = 3.0
@@ -107,6 +111,40 @@ class TestCORS:
         result = cors(ds)
         assert result.degenerate == (2,)
         assert result.statistics[1] == 0.0
+
+    def test_constant_column_always_flagged(self, rng):
+        # rounding can leave a constant column a weighted variance of 1e-17
+        for _ in range(20):
+            ds = tied_dataset(rng, int(rng.integers(6, 30)), 3, censor_upper=2.0)
+            z = ds.covariates.copy()
+            z[:, 1] = float(rng.choice([0.1, 0.3, 0.7, 1.1, 3.3]))
+            result = cors(SurvivalDataset(ds.time, ds.status, z))
+            assert 2 in result.degenerate
+            assert result.statistics[1] == 0.0
+
+    def test_column_constant_over_events_flagged(self):
+        # censored rows carry no weight, so their values cannot give a column range
+        ds = SurvivalDataset(
+            [1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], np.array([[1.0, 0.5], [9.0, 0.2], [1.0, 0.9], [7.0, 0.1]])
+        )
+        result = cors(ds)
+        assert result.degenerate == (1,)
+        assert result.statistics[0] == 0.0 and result.statistics[1] > 0
+
+    def test_matches_per_column_oracle(self, rng):
+        # a correlation near 0 is a difference of nearly equal sums, so a
+        # different summation order moves it by an absolute ~1e-17, not a relative one
+        for k in range(40):
+            n = int(rng.integers(10, 120))
+            p = int(rng.integers(1, 40))
+            ds = random_dataset(rng, n, p, beta=0.3 * rng.normal(size=p), censor_upper=3.0)
+            if k % 2:
+                ds = tied_dataset(rng, n, p, censor_upper=3.0)
+            expected, degenerate = per_column_cors(ds.time, ds.covariates, ipw_weights(ds))
+            result = cors(ds)
+            assert result.degenerate == degenerate == ()
+            np.testing.assert_allclose(result.statistics, expected, rtol=1e-14, atol=1e-15)
+            assert result.ranking == tuple(int(j) for j in np.lexsort((np.arange(p), -expected)) + 1)
 
 
 class TestCRIS:
@@ -129,8 +167,10 @@ class TestCRIS:
             np.testing.assert_allclose(other.statistics, base, atol=1e-12)
 
     def test_matches_pair_enumeration(self, rng):
-        for _ in range(8):
+        for k in range(8):
             ds = random_dataset(rng, 6, 2, censor_upper=1.5)
+            if k % 2:  # covariate ties as well
+                ds = SurvivalDataset(ds.time, ds.status, np.round(ds.covariates))
             w = ipw_weights(ds)
             result = cris(ds)
             for j in range(2):
@@ -141,6 +181,27 @@ class TestCRIS:
         ds = random_dataset(rng, 40, 3, censor_upper=2.0)
         stats = cris(ds).statistics
         assert np.all(stats >= 0) and np.all(stats <= 1 + 1e-12)
+
+    def test_constant_column_scores_zero(self, rng):
+        ds = random_dataset(rng, 30, 3, beta=np.array([1.0, 0.0, 0.0]), censor_upper=2.0)
+        z = ds.covariates.copy()
+        z[:, 1] = 4.0
+        result = cris(SurvivalDataset(ds.time, ds.status, z))
+        assert result.degenerate == (2,)
+        assert result.statistics[1] == 0.0
+        assert result.ranking[-1] == 2
+
+    def test_tied_noise_does_not_outrank_signal(self):
+        # ties in a binary column once counted as discordant pairs, which gave
+        # independent binary noise a statistic near 0.5
+        rng = np.random.default_rng(0)
+        n = 80
+        z = np.column_stack([rng.normal(size=n), rng.integers(0, 2, size=(n, 50)).astype(float)])
+        t = -np.log(rng.uniform(size=n)) / np.exp(z[:, 0])
+        c = rng.uniform(0, 3, size=n)
+        result = cris(SurvivalDataset(np.minimum(t, c), (t <= c).astype(int), z))
+        assert np.median(result.statistics[1:]) < 0.15
+        assert result.ranking[0] == 1
 
 
 class TestRankings:

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from coxscreen import screening
+from coxscreen import baselines, screening
 from coxscreen.baselines import PSIS_PLIK, PSIS_WALD
-from coxscreen.benchmark import ALL_METHODS, CS_METHODS, run_benchmark, run_replicate
+from coxscreen.benchmark import ALL_METHODS, CS_METHODS, _score, run_benchmark, run_replicate
 from coxscreen.cox import FitControl
 from coxscreen.data import ConditioningSet
 from coxscreen.simulate import calibrate_censoring, example_config, gen_replicate
@@ -41,6 +41,36 @@ class TestRunReplicate:
         cond = screening.default_conditioning(gen_replicate(config, 0).dataset)
         assert conditionings[1] == cond
         assert run_replicate((config, 0, CS_METHODS, cond, control)) == cs_auto
+
+    def test_empty_conditioning_reuses_the_marginal_sweep(self, config, monkeypatch):
+        control = FitControl()
+        empty = ConditioningSet()
+        conditionings = []
+        real_screen = screening.screen
+
+        def counting_screen(dataset, conditioning, *args, **kwargs):
+            conditionings.append(conditioning)
+            return real_screen(dataset, conditioning, *args, **kwargs)
+
+        monkeypatch.setattr(screening, "screen", counting_screen)
+        scores = run_replicate((config, 0, ALL_METHODS, screening.parse_conditioning("none"), control))
+        monkeypatch.undo()
+        assert conditionings == [empty]
+
+        # the rankings of separate sweeps, one per statistic and flavor
+        rep = gen_replicate(config, 0)
+        ds = rep.dataset
+        rankings = {
+            f"cs-{s}": screening.screen(ds, empty, control, statistics=(s,)).rankings[s]
+            for s in screening.STATISTICS
+        }
+        rankings[PSIS_WALD] = baselines.psis(ds, "wald").ranking
+        rankings[PSIS_PLIK] = baselines.psis(ds, "plik").ranking
+        rankings[baselines.CORS] = baselines.cors(ds).ranking
+        rankings[baselines.CRIS] = baselines.cris(ds).ranking
+        budget, sure_k = config.n, screening.default_top_k(config.n)
+        expected = [_score(m, rankings[m], rep, empty, budget, sure_k) for m in ALL_METHODS]
+        assert scores == expected
 
 
 class TestRunBenchmark:

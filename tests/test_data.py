@@ -151,8 +151,9 @@ class TestCSV:
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("followup,dead,a,b\n1.0,1,0.5,1.0\n2.0,0,0.1,2.0\n")
-        ds = read_csv(path, ColumnSchema("followup", "dead", ["b"]))
-        assert ds.p == 1 and ds.covariate_names == ["b"]
+        ds = read_csv(path, ColumnSchema("followup", "dead"))
+        assert ds.p == 2 and ds.covariate_names == ["a", "b"]
+        assert list(ds.time) == [1.0, 2.0] and list(ds.status) == [1, 0]
 
 
 class TestConditioningSet:

@@ -12,6 +12,7 @@ from coxscreen.diagnostics import (
 )
 
 from conftest import random_dataset
+from oracles import lstsq_partial_covariance
 
 
 class TestFitCLE:
@@ -175,3 +176,21 @@ class TestSignalStrength:
         assert lines[0] == "index,name,signal_strength"
         assert list(candidates) == [2, 3, 4]
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("cond", [(), (1,), (1, 2, 3), (1, 2, 5)])
+    def test_csv_matches_least_squares(self, rng, tmp_path, cond):
+        ds = random_dataset(rng, 70, 8, beta=0.5 * rng.normal(size=8), censor_upper=2.0)
+        z = ds.covariates.copy()
+        z[:, 4] = z[:, 0] - 2.0 * z[:, 1]  # C = {1, 2, 5} is rank deficient
+        ds = SurvivalDataset(ds.time, ds.status, z)
+        conditioning = ConditioningSet(cond)
+        path = tmp_path / "sig.csv"
+        candidates = signal_strengths_to_csv(ds, conditioning, path)
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        delta = ds.status.astype(float)
+        z_cond = z[:, [k - 1 for k in cond]]
+        for j, (index, _, value) in zip(candidates, rows):
+            expected = lstsq_partial_covariance(z[:, j - 1], delta, z_cond)
+            assert int(index) == j
+            assert float(value) == pytest.approx(expected, abs=1e-13)
+            assert float(value) == pytest.approx(signal_strength(ds, conditioning, j), abs=1e-15)

@@ -6,8 +6,6 @@ from coxscreen.errors import ValidationError
 from coxscreen.metrics import (
     BenchmarkSummary,
     ReplicateScore,
-    density_table,
-    density_table_to_csv,
     mms,
     scores_to_csv,
     summaries_to_csv,
@@ -110,49 +108,7 @@ class TestSummarize:
             summarize([])
 
 
-class TestDensityTable:
-    def test_standard_normal_density_at_zero(self):
-        rng = np.random.default_rng(3)
-        sample = rng.normal(size=5000)
-        grid = np.array([0.0])
-        rows, masses = density_table({"a": sample}, grid=grid)
-        assert masses == []
-        assert rows[0][2] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=0.03)
-
-    def test_identical_groups_identical_rows(self, rng):
-        sample = rng.normal(size=400)
-        rows, _ = density_table({"a": sample, "b": sample.copy()})
-        half = len(rows) // 2
-        for (ga, xa, da), (gb, xb, db) in zip(rows[:half], rows[half:]):
-            assert (ga, gb) == ("a", "b")
-            assert xa == xb and da == db
-
-    def test_density_integrates_to_one(self, rng):
-        sample = rng.normal(loc=2.0, scale=0.5, size=1000)
-        rows, _ = density_table({"a": sample}, grid_size=2048)
-        x = np.array([r[1] for r in rows])
-        d = np.array([r[2] for r in rows])
-        assert np.trapezoid(d, x) == pytest.approx(1.0, abs=0.01)
-
-    def test_point_mass_group_flagged(self, rng):
-        rows, masses = density_table({"spread": rng.normal(size=50), "flat": np.full(50, 3.0)})
-        assert masses == ["flat"]
-        assert all(r[0] == "spread" for r in rows)
-
-    def test_too_few_values(self):
-        with pytest.raises(ValidationError, match="at least 2"):
-            density_table({"a": [1.0]})
-
-
 class TestCSVExports:
-    def test_density_csv(self, tmp_path, rng):
-        rows, _ = density_table({"a": rng.normal(size=30)}, grid_size=8)
-        path = tmp_path / "dens.csv"
-        density_table_to_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "group,x,density"
-        assert len(lines) == 9
-
     def test_summaries_csv(self, tmp_path):
         s = BenchmarkSummary("cs-wald", 2.0, 1.0, 1.0, 0.0, 0.9, 100)
         path = tmp_path / "sum.csv"

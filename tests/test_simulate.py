@@ -14,8 +14,9 @@ from coxscreen.simulate import (
     gen_covariates,
     gen_replicate,
     gen_survival_times,
-    linear_predictor_covariance,
 )
+
+from oracles import linear_predictor_covariance
 
 
 class TestCovariates:
