@@ -3,6 +3,12 @@
 Ties use the Breslow convention: every event at a tied time shares the full
 risk-set denominator. The solver is meant for the small (q+1)-dimensional
 marginal fits of a screening sweep, not for wide models.
+
+``fit`` solves one model. ``fit_batch`` solves the models C + {j} for many
+candidates j at once: it runs the same damped Newton iteration on a chunk of
+candidates together, one row per candidate, and reports a failed fit as a
+status instead of raising. Both share the kernels below, so a candidate gets
+the same numbers from either, and from any chunk it is batched with.
 """
 
 from __future__ import annotations
@@ -15,6 +21,14 @@ from .data import SurvivalDataset
 from .errors import NonIdentifiableError, SeparationError, ValidationError
 
 _CONDITION_LIMIT = 1e12
+# fit_batch takes _CHUNK_ELEMENTS // n candidates at a time, but at least _MIN_CHUNK
+_CHUNK_ELEMENTS = 1 << 14
+_MIN_CHUNK = 8
+
+CONVERGED = "converged"
+SEPARATION = "separation"
+SINGULAR = "singular"
+NOT_CONVERGED = "not_converged"
 
 
 @dataclass(frozen=True)
@@ -45,19 +59,39 @@ class CoxFit:
     converged: bool
 
 
+@dataclass(frozen=True)
+class BatchFit:
+    """Row i is the fit on columns + [candidates[i]].
+
+    A separation or singular row has NaN numbers and 0 iterations, where
+    ``fit`` would raise.
+    """
+
+    coefficients: np.ndarray  # (m, q+1), the candidate's coefficient last
+    loglik: np.ndarray  # (m,)
+    variance: np.ndarray  # (m,) variance of the candidate's coefficient, clipped at 0
+    iterations: np.ndarray  # (m,)
+    status: np.ndarray  # (m,) CONVERGED, NOT_CONVERGED, SEPARATION or SINGULAR
+
+
 class _SortedView:
-    """Per-dataset precomputation shared by all likelihood evaluations."""
+    """Per-dataset precomputation shared by all likelihood evaluations.
+
+    Covariates are stored one contiguous row per column, in descending time
+    order, so a forward cumulative sum gives every risk-set sum.
+    """
 
     def __init__(self, dataset: SurvivalDataset):
-        order = dataset.sorted_index
-        self.time = dataset.time[order]
-        self.status = dataset.status[order]
-        self.covariates = dataset.covariates[order]
-        # first position of each tied-time group: denominator index under Breslow
-        _, first_idx, inverse = np.unique(self.time, return_index=True, return_inverse=True)
-        self.tie_first = first_idx[inverse]
-        self.event_pos = np.nonzero(self.status == 1)[0]
-        self.event_groups = self.tie_first[self.event_pos]
+        order = dataset.sorted_index[::-1]
+        self.n = dataset.n
+        self.rows = np.ascontiguousarray(dataset.covariates[order].T)
+        time = dataset.time[order]
+        events = np.nonzero(dataset.status[order] == 1)[0][::-1]  # ascending time
+        # last position of each tied-time group: the Breslow risk set ends there
+        _, first_idx, inverse = np.unique(time[::-1], return_index=True, return_inverse=True)
+        self.event_pos = events
+        self.event_groups = (self.n - 1 - first_idx[inverse])[self.n - 1 - events]
+        self.event_times = time[events]
 
 
 def _sorted_view(dataset: SurvivalDataset) -> _SortedView:
@@ -68,47 +102,85 @@ def _sorted_view(dataset: SurvivalDataset) -> _SortedView:
     return view
 
 
-def _columns_matrix(view: _SortedView, columns):
-    if len(columns) == 0:
-        return np.empty((view.time.shape[0], 0))
-    cols = [int(j) - 1 for j in columns]
-    return view.covariates[:, cols]
+def _rows(view: _SortedView, columns):
+    return [view.rows[int(j) - 1] for j in columns]
 
 
-def _rev_cumsum(a):
-    return np.cumsum(a[::-1], axis=0)[::-1]
+def _centred_weights(view: _SortedView, rows, beta):
+    """eta - max(eta) and its exponential, one row per row of beta.
+
+    rows holds one (n,) or (m, n) array per coefficient. eta is summed
+    column by column, so each row's value does not depend on the batch.
+    """
+    eta = np.zeros((beta.shape[0], view.n))
+    for k, row in enumerate(rows):
+        eta += row * beta[:, k, None]
+    eta -= eta.max(axis=1, keepdims=True)
+    return eta, np.exp(eta)
 
 
-def _loglik_sorted(view: _SortedView, z, beta):
-    eta = z @ beta
-    shift = eta.max() if eta.size else 0.0
-    w = np.exp(eta - shift)
-    s0 = _rev_cumsum(w)
-    ll = float(np.sum(eta[view.event_pos] - shift - np.log(s0[view.event_groups])))
-    if not np.isfinite(ll):
-        raise ValidationError("non-finite log partial likelihood")
-    return ll
+def _loglik(view: _SortedView, rows, beta):
+    """Log partial likelihood at each row of beta; not finite where it overflows."""
+    eta, w = _centred_weights(view, rows, beta)
+    s0 = np.cumsum(w, axis=1).take(view.event_groups, axis=1)
+    return np.sum(eta.take(view.event_pos, axis=1) - np.log(s0), axis=1)
 
 
-def _score_info_sorted(view: _SortedView, z, beta):
-    d = z.shape[1]
-    eta = z @ beta
-    shift = eta.max() if eta.size else 0.0
-    w = np.exp(eta - shift)
-    s0 = _rev_cumsum(w)[view.event_groups]
-    if d == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    s1 = _rev_cumsum(w[:, None] * z)[view.event_groups]
-    mean1 = s1 / s0[:, None]
-    score = np.sum(z[view.event_pos] - mean1, axis=0)
-    s2 = _rev_cumsum(w[:, None, None] * z[:, :, None] * z[:, None, :])[view.event_groups]
-    info = np.sum(s2 / s0[:, None, None] - mean1[:, :, None] * mean1[:, None, :], axis=0)
-    info = 0.5 * (info + info.T)
+def _score_info(view: _SortedView, rows, beta):
+    """Score vectors (m, d) and observed information matrices (m, d, d) at each row of beta."""
+    m, d = beta.shape
+    _, w = _centred_weights(view, rows, beta)
+    s0 = np.cumsum(w, axis=1).take(view.event_groups, axis=1)
+    weighted = [w * row for row in rows]
+    means = [np.cumsum(wz, axis=1).take(view.event_groups, axis=1) / s0 for wz in weighted]
+    score = np.empty((m, d))
+    info = np.empty((m, d, d))
+    for a in range(d):
+        score[:, a] = np.sum(rows[a].take(view.event_pos, axis=-1) - means[a], axis=1)
+        for b in range(a, d):
+            s2 = np.cumsum(weighted[a] * rows[b], axis=1).take(view.event_groups, axis=1)
+            info[:, a, b] = info[:, b, a] = np.sum(s2 / s0 - means[a] * means[b], axis=1)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
-        bad = np.nonzero(~np.isfinite(mean1).all(axis=1))[0]
-        t = view.time[view.event_pos[bad[0]]] if bad.size else float("nan")
+        finite = np.logical_and.reduce([np.isfinite(mean).all(axis=0) for mean in means])
+        bad = np.nonzero(~finite)[0]
+        t = view.event_times[bad[0]] if bad.size else float("nan")
         raise ValidationError(f"non-finite score/information contribution at event time {t}")
     return score, info
+
+
+def _accepts(ll_new, ll):
+    """Whether a trial step keeps the log likelihood, up to rounding at its magnitude."""
+    return np.isfinite(ll_new) & (ll_new >= ll - 1e-12 * np.maximum(1.0, np.abs(ll)))
+
+
+def _newton_steps(info, score):
+    """Newton directions for a stack of systems, and which systems were well conditioned.
+
+    The directions are returned for the well-conditioned systems only.
+    """
+    ok = np.ones(info.shape[0], dtype=bool)
+    try:
+        L = np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        L = np.empty_like(info)
+        for i, a in enumerate(info):
+            try:
+                L[i] = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+                L[i] = np.eye(a.shape[0])
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    low, high = diag.min(axis=1), diag.max(axis=1)
+    ok &= low > 0
+    ok[ok] = (high[ok] / low[ok]) ** 2 <= _CONDITION_LIMIT
+    L = L[ok]
+    y = np.linalg.solve(L, score[ok][..., None])
+    return np.linalg.solve(np.swapaxes(L, 1, 2), y)[..., 0], ok
+
+
+def _singular_at_solution(info):
+    eigs = np.linalg.eigvalsh(info)  # ascending
+    return (eigs[:, -1] <= 0) | (eigs[:, 0] <= eigs[:, -1] / _CONDITION_LIMIT)
 
 
 def log_partial_likelihood(dataset: SurvivalDataset, columns, beta) -> float:
@@ -117,7 +189,10 @@ def log_partial_likelihood(dataset: SurvivalDataset, columns, beta) -> float:
     if beta.shape[0] != len(columns):
         raise ValidationError("beta length must match the number of columns")
     view = _sorted_view(dataset)
-    return _loglik_sorted(view, _columns_matrix(view, columns), beta)
+    ll = float(_loglik(view, _rows(view, columns), beta[None])[0])
+    if not np.isfinite(ll):
+        raise ValidationError("non-finite log partial likelihood")
+    return ll
 
 
 def score_and_information(dataset: SurvivalDataset, columns, beta):
@@ -126,19 +201,22 @@ def score_and_information(dataset: SurvivalDataset, columns, beta):
     if beta.shape[0] != len(columns):
         raise ValidationError("beta length must match the number of columns")
     view = _sorted_view(dataset)
-    return _score_info_sorted(view, _columns_matrix(view, columns), beta)
+    score, info = _score_info(view, _rows(view, columns), beta[None])
+    return score[0], info[0]
 
 
-def _solve_newton_step(info, score):
-    try:
-        L = np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        raise NonIdentifiableError("information matrix is not positive definite") from None
-    diag = np.diag(L)
-    if diag.min() <= 0 or (diag.max() / diag.min()) ** 2 > _CONDITION_LIMIT:
-        raise NonIdentifiableError("information matrix is numerically singular")
-    y = np.linalg.solve(L, score)
-    return np.linalg.solve(L.T, y)
+def _check_dimension(dataset, d):
+    if d > dataset.n - 1:
+        raise ValidationError(f"model dimension {d} too large for n={dataset.n}")
+
+
+def _initial(init, d):
+    if init is None:
+        return np.zeros(d)
+    beta = np.array(init, dtype=float)
+    if beta.shape != (d,):
+        raise ValidationError("init length must match the number of columns")
+    return beta
 
 
 def fit(
@@ -149,40 +227,29 @@ def fit(
 ) -> CoxFit:
     """Maximize the partial likelihood over the given columns by damped Newton."""
     d = len(columns)
-    if d > dataset.n - 1:
-        raise ValidationError(f"model dimension {d} too large for n={dataset.n}")
+    _check_dimension(dataset, d)
     view = _sorted_view(dataset)
-    z = _columns_matrix(view, columns)
-    if init is None:
-        beta = np.zeros(d)
-    else:
-        beta = np.array(init, dtype=float)
-        if beta.shape != (d,):
-            raise ValidationError("init length must match the number of columns")
+    rows = _rows(view, columns)
+    beta = _initial(init, d)
 
+    ll = log_partial_likelihood(dataset, columns, beta)
     if d == 0:
-        ll = _loglik_sorted(view, z, beta)
         return CoxFit(beta, ll, 0.0, np.zeros((0, 0)), np.zeros(0), 0, True)
 
-    ll = _loglik_sorted(view, z, beta)
-    score, info = _score_info_sorted(view, z, beta)
+    score, info = score_and_information(dataset, columns, beta)
     iterations = 0
-    converged = False
     for _ in range(control.max_iterations):
-        score_norm = float(np.linalg.norm(score))
-        if score_norm <= control.score_tolerance:
-            converged = True
+        if np.linalg.norm(score, axis=-1) <= control.score_tolerance:
             break
-        delta = _solve_newton_step(info, score)
+        delta, ok = _newton_steps(info[None], score[None])
+        if not ok[0]:
+            raise NonIdentifiableError("information matrix is not positive definite or is singular")
         step = 1.0
         accepted = False
         for _ in range(control.step_halving_limit):
-            cand = beta + step * delta
-            try:
-                ll_cand = _loglik_sorted(view, z, cand)
-            except ValidationError:
-                ll_cand = -np.inf
-            if np.isfinite(ll_cand) and ll_cand >= ll - 1e-12:
+            cand = beta + step * delta[0]
+            ll_cand = float(_loglik(view, rows, cand[None])[0])
+            if _accepts(ll_cand, ll):
                 accepted = True
                 break
             step *= 0.5
@@ -193,13 +260,10 @@ def fit(
         worst = int(np.argmax(np.abs(beta)))
         if abs(beta[worst]) > control.coefficient_bound:
             raise SeparationError(worst)
-        score, info = _score_info_sorted(view, z, beta)
-    score_norm = float(np.linalg.norm(score))
-    if score_norm <= control.score_tolerance:
-        converged = True
+        score, info = score_and_information(dataset, columns, beta)
+    score_norm = float(np.linalg.norm(score, axis=-1))
 
-    eigs = np.linalg.eigvalsh(info)
-    if eigs.max() <= 0 or eigs.min() <= eigs.max() / _CONDITION_LIMIT:
+    if _singular_at_solution(info[None])[0]:
         raise NonIdentifiableError("information matrix is numerically singular at the solution")
     variances = np.maximum(np.diag(np.linalg.inv(info)), 0.0)
     return CoxFit(
@@ -209,6 +273,93 @@ def fit(
         information=info,
         variances=variances,
         iterations=iterations,
-        converged=converged,
+        converged=score_norm <= control.score_tolerance,
     )
 
+
+def fit_batch(
+    dataset: SurvivalDataset,
+    columns,
+    candidates,
+    control: FitControl = FitControl(),
+    init=None,
+) -> BatchFit:
+    """``fit`` on columns + [j] for every candidate j, a chunk of candidates at a time.
+
+    Each row gets the status, iterations and numbers that ``fit`` gives that
+    model, bit for bit: ``fit``'s SeparationError and NonIdentifiableError
+    become the SEPARATION and SINGULAR statuses. A non-finite score or
+    information still raises ValidationError. Memory stays at a fixed number
+    of (chunk, n) arrays, a chunk being _CHUNK_ELEMENTS // n candidates or
+    _MIN_CHUNK, whichever is more.
+    """
+    d = len(columns) + 1
+    _check_dimension(dataset, d)
+    view = _sorted_view(dataset)
+    cond_rows = _rows(view, columns)
+    beta = _initial(init, d)
+    candidates = np.asarray(candidates, dtype=int)
+    size = max(_MIN_CHUNK, _CHUNK_ELEMENTS // view.n)
+    parts = [
+        _fit_chunk(view, cond_rows, view.rows[candidates[start : start + size] - 1], control, beta)
+        for start in range(0, max(len(candidates), 1), size)
+    ]
+    return BatchFit(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def _fit_chunk(view, cond_rows, x, control, init):
+    """fit's iteration on the rows [cond_rows..., x[i]] for every i, with per-row masks."""
+    m = x.shape[0]
+    beta = np.tile(init, (m, 1))
+    ll = _loglik(view, cond_rows + [x], beta)
+    if not np.all(np.isfinite(ll)):
+        raise ValidationError("non-finite log partial likelihood")
+    score, info = _score_info(view, cond_rows + [x], beta)
+    iterations = np.zeros(m, dtype=int)
+    status = np.full(m, "", dtype=object)  # set at failure, else at the end
+    live = np.arange(m)  # rows still iterating
+    for _ in range(control.max_iterations):
+        live = live[np.linalg.norm(score[live], axis=-1) > control.score_tolerance]
+        if not live.size:
+            break
+        delta, ok = _newton_steps(info[live], score[live])
+        status[live[~ok]] = SINGULAR
+        live = live[ok]
+
+        # halve every row's step together until its log likelihood does not drop
+        new_beta, new_ll = np.empty_like(delta), np.empty(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        trying = np.arange(live.size)
+        step = 1.0
+        for _ in range(control.step_halving_limit):
+            idx = live[trying]
+            cand = beta[idx] + step * delta[trying]
+            ll_cand = _loglik(view, cond_rows + [x[idx]], cand)
+            good = _accepts(ll_cand, ll[idx])
+            new_beta[trying[good]], new_ll[trying[good]] = cand[good], ll_cand[good]
+            accepted[trying[good]] = True
+            trying = trying[~good]
+            if not trying.size:
+                break
+            step *= 0.5
+        # a row without an accepted step stops, as fit does
+        live = live[accepted]
+        beta[live], ll[live] = new_beta[accepted], new_ll[accepted]
+        iterations[live] += 1
+        separated = np.abs(beta[live]).max(axis=1) > control.coefficient_bound
+        status[live[separated]] = SEPARATION
+        live = live[~separated]
+        score[live], info[live] = _score_info(view, cond_rows + [x[live]], beta[live])
+
+    rest = np.nonzero(status == "")[0]
+    singular = _singular_at_solution(info[rest])
+    status[rest[singular]] = SINGULAR
+    rest = rest[~singular]
+    converged = np.linalg.norm(score[rest], axis=-1) <= control.score_tolerance
+    status[rest[converged]] = CONVERGED
+    status[rest[~converged]] = NOT_CONVERGED
+    variance = np.full(m, np.nan)
+    variance[rest] = np.maximum(np.linalg.inv(info[rest])[:, -1, -1], 0.0)
+    failed = (status == SINGULAR) | (status == SEPARATION)
+    beta[failed], ll[failed], iterations[failed] = np.nan, np.nan, 0
+    return beta, ll, variance, iterations, status

@@ -20,15 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cox
+from .cox import CONVERGED, NOT_CONVERGED, SEPARATION, SINGULAR  # noqa: F401 (fit statuses)
 from .data import ConditioningSet, SurvivalDataset, validate
-from .errors import ConfigError, NonIdentifiableError, SeparationError, ValidationError
+from .errors import ConfigError, NonIdentifiableError, ValidationError
 
 STATISTICS = ("mple", "wald", "plik")
-
-CONVERGED = "converged"
-SEPARATION = "separation"
-SINGULAR = "singular"
-NOT_CONVERGED = "not_converged"
 
 AUTO = "auto"  # conditioning spec: pick C by default_conditioning
 
@@ -69,40 +65,35 @@ class ScreeningResult:
         raise ValidationError(f"no screening record for covariate {j}")
 
 
-def _fit_one(dataset, columns, control, init, null_loglik):
-    j = columns[-1]
+def _record(j, coefficients, loglik, variance, iterations, status, null_loglik):
     nan = float("nan")
-    try:
-        fit_res = cox.fit(dataset, columns, control, init=init)
-    except SeparationError:
-        return CovariateScreenRecord(j, nan, nan, nan, nan, SEPARATION, 0)
-    except NonIdentifiableError:
-        return CovariateScreenRecord(j, nan, nan, nan, nan, SINGULAR, 0)
-    if not fit_res.converged:
-        return CovariateScreenRecord(j, nan, nan, nan, nan, NOT_CONVERGED, fit_res.iterations)
-    beta = float(fit_res.coefficients[-1])
-    variance = float(fit_res.variances[-1])
+    iterations = int(iterations)
+    if status != CONVERGED:
+        return CovariateScreenRecord(j, nan, nan, nan, nan, status, iterations)
+    beta = float(coefficients[-1])
+    variance = float(variance)
     if not (math.isfinite(variance) and variance > 0):
-        return CovariateScreenRecord(j, beta, nan, nan, nan, SINGULAR, fit_res.iterations)
+        return CovariateScreenRecord(j, beta, nan, nan, nan, SINGULAR, iterations)
     sigma = math.sqrt(variance)
     return CovariateScreenRecord(
         index=j,
         beta_hat=beta,
         sigma_hat=sigma,
         wald=abs(beta) / sigma,
-        plik=fit_res.loglik - null_loglik,
+        plik=float(loglik) - null_loglik,
         fit_status=CONVERGED,
-        iterations=fit_res.iterations,
-        conditioning_coefficients=tuple(float(v) for v in fit_res.coefficients[:-1]),
+        iterations=iterations,
+        conditioning_coefficients=tuple(float(v) for v in coefficients[:-1]),
     )
 
 
-def _screen_chunk(args):
+def _screen_part(args):
+    """The records of the candidates js, from one batched fit."""
     dataset, cond_indices, js, control, null_fit = args
     init = np.append(null_fit.coefficients, 0.0)
-    return [
-        _fit_one(dataset, list(cond_indices) + [j], control, init, null_fit.loglik) for j in js
-    ]
+    batch = cox.fit_batch(dataset, cond_indices, js, control, init)
+    rows = zip(batch.coefficients, batch.loglik, batch.variance, batch.iterations, batch.status)
+    return [_record(j, *row, null_fit.loglik) for j, row in zip(js, rows)]
 
 
 def rank(indices, values, failed=None):
@@ -144,12 +135,12 @@ def screen(
 
     candidates = conditioning.complement(dataset.p)
     if workers <= 1 or len(candidates) < 2 * workers:
-        records = _screen_chunk((dataset, conditioning.indices, candidates, control, null_fit))
+        records = _screen_part((dataset, conditioning.indices, candidates, control, null_fit))
     else:
         chunks = [c.tolist() for c in np.array_split(candidates, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                _screen_chunk,
+                _screen_part,
                 [(dataset, conditioning.indices, c, control, null_fit) for c in chunks],
             )
             records = [rec for part in parts for rec in part]

@@ -3,13 +3,24 @@
 Everything here deliberately avoids the package's optimized code paths:
 risk sets are enumerated directly, derivatives come from finite differences,
 maximization is derivative-free, and the Kaplan-Meier product is a literal
-product over censoring times.
+product over censoring times. The screening sweep's oracle is one plain
+``cox.fit`` per candidate.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from coxscreen import cox
+from coxscreen.errors import NonIdentifiableError, SeparationError
+from coxscreen.screening import (
+    CONVERGED,
+    NOT_CONVERGED,
+    SEPARATION,
+    SINGULAR,
+    CovariateScreenRecord,
+)
 
 
 @dataclass(frozen=True)
@@ -296,3 +307,41 @@ def gauss_elim_inverse(a):
             if row != col:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, d:]
+
+
+def _fit_one(dataset, columns, control, init, null_loglik):
+    j = columns[-1]
+    nan = float("nan")
+    try:
+        fit_res = cox.fit(dataset, columns, control, init=init)
+    except SeparationError:
+        return CovariateScreenRecord(j, nan, nan, nan, nan, SEPARATION, 0)
+    except NonIdentifiableError:
+        return CovariateScreenRecord(j, nan, nan, nan, nan, SINGULAR, 0)
+    if not fit_res.converged:
+        return CovariateScreenRecord(j, nan, nan, nan, nan, NOT_CONVERGED, fit_res.iterations)
+    beta = float(fit_res.coefficients[-1])
+    variance = float(fit_res.variances[-1])
+    if not (math.isfinite(variance) and variance > 0):
+        return CovariateScreenRecord(j, beta, nan, nan, nan, SINGULAR, fit_res.iterations)
+    sigma = math.sqrt(variance)
+    return CovariateScreenRecord(
+        index=j,
+        beta_hat=beta,
+        sigma_hat=sigma,
+        wald=abs(beta) / sigma,
+        plik=fit_res.loglik - null_loglik,
+        fit_status=CONVERGED,
+        iterations=fit_res.iterations,
+        conditioning_coefficients=tuple(float(v) for v in fit_res.coefficients[:-1]),
+    )
+
+
+def per_candidate_screen(dataset, conditioning, control=cox.FitControl()):
+    """Screening records from one cox.fit per candidate, warm-started from the null fit."""
+    null_fit = cox.fit(dataset, conditioning.indices, control)
+    init = np.append(null_fit.coefficients, 0.0)
+    return [
+        _fit_one(dataset, list(conditioning.indices) + [j], control, init, null_fit.loglik)
+        for j in conditioning.complement(dataset.p)
+    ]

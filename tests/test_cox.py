@@ -1,9 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coxscreen.cox import FitControl, fit, log_partial_likelihood, score_and_information
+from coxscreen import simulate
+from coxscreen.cox import (
+    CONVERGED,
+    FitControl,
+    fit,
+    fit_batch,
+    log_partial_likelihood,
+    score_and_information,
+)
 from coxscreen.data import SurvivalDataset
 from coxscreen.errors import NonIdentifiableError, SeparationError, ValidationError
 
@@ -176,6 +185,19 @@ class TestFit:
             vals = [log_partial_likelihood(ds, [1, 2], b0 + t * (b1 - b0)) for t in ts]
             second = np.diff(vals, 2)
             assert np.all(second <= 1e-8)
+
+    def test_step_search_tolerates_rounding_of_a_large_loglik(self):
+        # example 1 at n=2000, |loglik| ~ 6700: one ulp of the log likelihood is
+        # 9e-13, so an absolute 1e-12 slack rejected the last, tiny Newton steps
+        config = simulate.example_config(1, n=2000, p=400, seed=1)
+        ds = simulate.gen_replicate(replace(config, censor_upper=1.5), 0).dataset
+        null = fit(ds, [1, 2, 3])
+        init = np.append(null.coefficients, 0.0)
+        for j in (165, 177, 178, 195):  # 4-13 iterations or not converged with that slack
+            res = fit(ds, [1, 2, 3, j], init=init)
+            assert res.converged and res.iterations == 3
+        batch = fit_batch(ds, [1, 2, 3], [165, 177, 178, 195], init=init)
+        assert list(batch.status) == [CONVERGED] * 4 and list(batch.iterations) == [3] * 4
 
     def test_dimension_guard(self, rng):
         ds = random_dataset(rng, 3, 4)

@@ -12,7 +12,10 @@ from coxscreen.errors import ConfigError, ValidationError
 from coxscreen.screening import (
     AUTO,
     CONVERGED,
+    NOT_CONVERGED,
+    SEPARATION,
     SINGULAR,
+    _screen_part,
     default_conditioning,
     default_top_k,
     parse_conditioning,
@@ -25,7 +28,7 @@ from coxscreen.screening import (
 )
 
 from conftest import random_dataset
-from oracles import brute_rank
+from oracles import brute_rank, per_candidate_screen
 
 
 @pytest.fixture
@@ -45,7 +48,7 @@ class TestScreen:
         z[:, 2] = z[:, 0]
         t = -np.log(rng.uniform(size=40)) / np.exp(z[:, 0])
         ds = SurvivalDataset(t, np.ones(40), z)
-        result = screen(ds, ConditioningSet((1,)))
+        result = assert_matches_oracle(ds, ConditioningSet((1,)))
         assert result.record(3).fit_status == SINGULAR
         assert result.record(2).fit_status == CONVERGED
 
@@ -58,15 +61,14 @@ class TestScreen:
         assert result.rankings["mple"][-1] == 4
 
     def test_nonpositive_variance_is_singular(self, dataset, monkeypatch):
-        real_fit = cox.fit
+        real_fit_batch = cox.fit_batch
         for bad in (0.0, float("nan")):
-            def fit_with_bad_variance(ds, columns, *args, bad=bad, **kwargs):
-                res = real_fit(ds, columns, *args, **kwargs)
-                if list(columns) == [1, 3]:
-                    return replace(res, variances=np.array([res.variances[0], bad]))
-                return res
+            def fit_batch_with_bad_variance(ds, columns, candidates, *args, bad=bad, **kwargs):
+                res = real_fit_batch(ds, columns, candidates, *args, **kwargs)
+                variance = np.where(np.asarray(candidates) == 3, bad, res.variance)
+                return replace(res, variance=variance)
 
-            monkeypatch.setattr(cox, "fit", fit_with_bad_variance)
+            monkeypatch.setattr(cox, "fit_batch", fit_batch_with_bad_variance)
             result = screen(dataset, ConditioningSet((1,)))
             rec = result.record(3)
             assert rec.fit_status == SINGULAR
@@ -117,6 +119,94 @@ class TestScreen:
             pytest.skip("censoring draw left too many events")
         with pytest.raises(ValidationError, match="conditioning set size"):
             screen(ds, ConditioningSet(tuple(range(1, events + 1))))
+
+
+def assert_matches_oracle(dataset, conditioning, control=FitControl()):
+    """screen against one cox.fit per candidate; returns the screen result."""
+    result = screen(dataset, conditioning, control)
+    expected = per_candidate_screen(dataset, conditioning, control)
+    assert [r.index for r in result.records] == [r.index for r in expected]
+    for got, want in zip(result.records, expected):
+        assert (got.fit_status, got.iterations) == (want.fit_status, want.iterations), got.index
+        for name in ("beta_hat", "sigma_hat", "wald", "plik"):
+            a, b = getattr(got, name), getattr(want, name)
+            if math.isnan(b):
+                assert math.isnan(a), (got.index, name)
+            else:
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (got.index, name, a, b)
+        assert np.allclose(
+            got.conditioning_coefficients, want.conditioning_coefficients, rtol=1e-10, atol=1e-10
+        )
+    return result
+
+
+def tied_censored_dataset(rng, n, p, decimals):
+    z = rng.normal(size=(n, p)) * rng.choice([0.3, 1.0, 3.0], size=p)
+    t = np.round(-np.log(rng.uniform(size=n)) / np.exp(z[:, 0] - 0.5 * z[:, 1]), decimals)
+    c = np.round(rng.uniform(0.0, 3.0, size=n), decimals)
+    status = (t <= c).astype(int)
+    status[int(np.argmin(t))] = 1
+    return SurvivalDataset(np.maximum(np.minimum(t, c), 0.0), status, z)
+
+
+class TestBatchedSweep:
+    """The batched Newton sweep against the per-candidate cox.fit loop."""
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_matches_per_candidate_oracle(self, rng, q):
+        for decimals in (1, 2, 8):
+            ds = tied_censored_dataset(rng, int(rng.integers(30, 200)), 12, decimals)
+            assert_matches_oracle(ds, ConditioningSet(tuple(range(1, q + 1))))
+
+    def test_event_ordered_column_separates(self, rng):
+        n = 40
+        z = rng.normal(size=(n, 3))
+        z[:, 2] = -np.arange(n, dtype=float) / n
+        ds = SurvivalDataset(np.sort(rng.uniform(0.1, 5.0, n)), np.ones(n), z)
+        result = assert_matches_oracle(ds, ConditioningSet((1,)), FitControl(coefficient_bound=2.0))
+        assert result.record(3).fit_status == SEPARATION
+        assert result.rankings["wald"][-1] == 3
+
+    def test_constant_candidate_column(self, rng):
+        ds = tied_censored_dataset(rng, 60, 4, 2)
+        z = ds.covariates.copy()
+        z[:, 2] = 3.7
+        ds = SurvivalDataset(ds.time, ds.status, z)
+        assert assert_matches_oracle(ds, ConditioningSet((1,))).record(3).fit_status == SINGULAR
+        # alone, its information is rounding noise: beta stays 0 and so does every statistic
+        rec = assert_matches_oracle(ds, ConditioningSet()).record(3)
+        assert (rec.beta_hat, rec.wald, rec.plik) == (0.0, 0.0, 0.0)
+
+    def test_exactly_q_plus_two_events(self, rng):
+        n, q = 40, 2
+        status = np.zeros(n, dtype=int)
+        status[[3, 10, 20, 31]] = 1
+        ds = SurvivalDataset(rng.exponential(size=n), status, rng.normal(size=(n, 5)))
+        assert_matches_oracle(ds, ConditioningSet(tuple(range(1, q + 1))))
+
+    def test_all_times_tied(self, rng):
+        n = 40
+        ds = SurvivalDataset(np.ones(n), (rng.random(n) < 0.6).astype(int), rng.normal(size=(n, 5)))
+        for cond in (ConditioningSet(), ConditioningSet((2,)), ConditioningSet((1, 2, 3))):
+            result = assert_matches_oracle(ds, cond)
+            assert all(r.fit_status == CONVERGED for r in result.records)
+
+    def test_max_iterations_one_is_not_converged(self, rng):
+        ds = tied_censored_dataset(rng, 60, 6, 8)
+        result = assert_matches_oracle(ds, ConditioningSet(), FitControl(max_iterations=1))
+        assert {(r.fit_status, r.iterations) for r in result.records} == {(NOT_CONVERGED, 1)}
+
+    @pytest.mark.parametrize("n", [60, 2500])
+    def test_candidate_alone_equals_full_sweep(self, rng, n):
+        # at n=60 one chunk holds every candidate; at n=2500 the sweep spans chunks
+        ds = tied_censored_dataset(rng, n, 20, 2)
+        cond = ConditioningSet((1, 2))
+        result = screen(ds, cond)
+        control = FitControl()
+        for j in cond.complement(ds.p):
+            (alone,) = _screen_part((ds, cond.indices, [j], control, result.null_fit))
+            full = result.record(j)
+            assert repr(alone) == repr(full)  # repr tells floats apart bit for bit, NaN too
 
 
 class TestRank:
