@@ -112,7 +112,8 @@ class ConditioningSet:
             raise ValidationError(f"conditioning set size {self.q} must be < n={dataset.n}")
 
     def complement(self, p):
-        return [j for j in range(1, p + 1) if j not in set(self.indices)]
+        excluded = set(self.indices)
+        return [j for j in range(1, p + 1) if j not in excluded]
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,40 @@ def _parse_cell(text, row, col_name):
     return value
 
 
+def _bulk_table(lines, width):
+    """All cells of the lines as an (n, width) float table, or None to parse cell by cell.
+
+    np.loadtxt converts a cell with the C routine float() uses, after stripping
+    whitespace, and rejects quotes, underscores and non-ASCII digits. So a
+    table it returns holds float(cell) bit for bit, once two cases are ruled
+    out first: it strips the ASCII separators 0x1C-0x1F as whitespace, which
+    float() rejects, and it warns when every line is blank.
+    """
+    if all(line in ("\n", "\r\n", "\r") for line in lines):
+        return None
+    if any(sep in line for line in lines for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _per_cell_table(lines, header, columns, path):
+    """The cells of the given columns, one float() per cell; raises on the first bad cell."""
+    rows = []
+    for row_num, row in enumerate(csv.reader(lines), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CSVParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
+        rows.append([_parse_cell(row[k], row_num, header[k]) for k in columns])
+    return np.array(rows, dtype=float).reshape(len(rows), len(columns))
+
+
 def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
     """Load a dataset from a comma-separated UTF-8 file with a header row."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -190,21 +225,24 @@ def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
         cov_names = [h for h in header if h not in (schema.time_col, schema.status_col)]
         if not cov_names:
             raise CSVParseError(f"{path}: no covariate columns")
-        pos = {name: header.index(name) for name in header}
+        if schema.time_col == schema.status_col:
+            raise CSVParseError(f"{path}: column '{schema.time_col}' is both time and status")
+        pos = {name: k for k, name in enumerate(header)}
+        if len(pos) < len(header):
+            duplicate = next(name for k, name in enumerate(header) if pos[name] != k)
+            raise CSVParseError(f"{path}: duplicate column '{duplicate}'")
+        lines = fh.readlines()
 
-        times, statuses, rows = [], [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CSVParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            times.append(_parse_cell(row[pos[schema.time_col]], row_num, schema.time_col))
-            statuses.append(_parse_cell(row[pos[schema.status_col]], row_num, schema.status_col))
-            rows.append([_parse_cell(row[pos[name]], row_num, name) for name in cov_names])
-
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return SurvivalDataset(times, statuses, np.array(rows, dtype=float), cov_names)
+    columns = [pos[schema.time_col], pos[schema.status_col], *(pos[name] for name in cov_names)]
+    table = _bulk_table(lines, len(header))
+    if table is None:
+        table = _per_cell_table(lines, header, columns, path)
+    else:
+        table = table[:, columns]
+    if table.shape[0] < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
+    # C-contiguous copies: numpy and BLAS may sum in another order over strided views
+    return SurvivalDataset(table[:, 0].copy(), table[:, 1].copy(), table[:, 2:].copy(), cov_names)
 
 
 def write_csv(dataset: SurvivalDataset, path, schema: ColumnSchema = ColumnSchema()):

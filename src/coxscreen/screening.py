@@ -11,9 +11,11 @@ three screening statistics are derived from the added coordinate:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -59,9 +61,9 @@ class ScreeningResult:
     covariate_names: list
 
     def record(self, j) -> CovariateScreenRecord:
-        for rec in self.records:
-            if rec.index == j:
-                return rec
+        k = bisect.bisect_left(self.records, j, key=operator.attrgetter("index"))
+        if k < len(self.records) and self.records[k].index == j:
+            return self.records[k]
         raise ValidationError(f"no screening record for covariate {j}")
 
 
@@ -250,31 +252,79 @@ def result_to_csv(result: ScreeningResult, path):
             )
 
 
+# One record of result_to_json, keys sorted, as json.dump(..., indent=1) lays it out.
+_RECORD_JSON = (
+    "{\n"
+    '   "beta_hat": %s,\n'
+    '   "conditioning_coefficients": %s,\n'
+    '   "fit_status": %s,\n'
+    '   "index": %d,\n'
+    '   "iterations": %d,\n'
+    '   "name": %s,\n'
+    '   "plik": %s,\n'
+    '   "sigma_hat": %s,\n'
+    '   "wald": %s\n'
+    "  }"
+)
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x):
+    """A float as json.dump writes it: its repr, with NaN, Infinity and -Infinity."""
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_block(items, depth, brackets="[]"):
+    """Formatted items as a list (or object) at this nesting depth, as indent=1 lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _json_object(fields, depth):
+    """A dict of formatted values, keys sorted, as indent=1 lays it out."""
+    return _json_block([f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())], depth, "{}")
+
+
 def result_to_json(result: ScreeningResult, path):
+    """Write the result as json.dump(payload, fh, indent=1, sort_keys=True) would, plus a newline."""
+    names = result.covariate_names
+    records = [
+        _RECORD_JSON
+        % (
+            _json_float(rec.beta_hat),
+            _json_block([_json_float(v) for v in rec.conditioning_coefficients], 3),
+            json.dumps(rec.fit_status),
+            rec.index,
+            rec.iterations,
+            json.dumps(names[rec.index - 1]),
+            _json_float(rec.plik),
+            _json_float(rec.sigma_hat),
+            _json_float(rec.wald),
+        )
+        for rec in result.records
+    ]
+    null_fit = result.null_fit
     payload = {
-        "conditioning": list(result.conditioning.indices),
-        "null_fit": {
-            "coefficients": [float(v) for v in result.null_fit.coefficients],
-            "loglik": result.null_fit.loglik,
-            "iterations": result.null_fit.iterations,
-            "converged": result.null_fit.converged,
-        },
-        "records": [
+        "conditioning": _json_block([str(j) for j in result.conditioning.indices], 1),
+        "null_fit": _json_object(
             {
-                "index": rec.index,
-                "name": result.covariate_names[rec.index - 1],
-                "beta_hat": rec.beta_hat,
-                "sigma_hat": rec.sigma_hat,
-                "wald": rec.wald,
-                "plik": rec.plik,
-                "fit_status": rec.fit_status,
-                "iterations": rec.iterations,
-                "conditioning_coefficients": list(rec.conditioning_coefficients),
-            }
-            for rec in result.records
-        ],
-        "rankings": {name: list(ranking) for name, ranking in result.rankings.items()},
+                "coefficients": _json_block([_json_float(v) for v in null_fit.coefficients], 2),
+                "loglik": _json_float(null_fit.loglik),
+                "iterations": str(null_fit.iterations),
+                "converged": json.dumps(null_fit.converged),
+            },
+            1,
+        ),
+        "records": _json_block(records, 1),
+        "rankings": _json_object(
+            {name: _json_block(list(map(str, r)), 2) for name, r in result.rankings.items()}, 1
+        ),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write(_json_object(payload, 0))
         fh.write("\n")

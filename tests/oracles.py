@@ -4,16 +4,20 @@ Everything here deliberately avoids the package's optimized code paths:
 risk sets are enumerated directly, derivatives come from finite differences,
 maximization is derivative-free, and the Kaplan-Meier product is a literal
 product over censoring times. The screening sweep's oracle is one plain
-``cox.fit`` per candidate.
+``cox.fit`` per candidate. The CSV reader's oracle parses every cell with
+``float``, and the JSON writer's is ``json.dump``.
 """
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from coxscreen import cox
-from coxscreen.errors import NonIdentifiableError, SeparationError
+from coxscreen.data import ColumnSchema, SurvivalDataset
+from coxscreen.errors import CSVParseError, NonIdentifiableError, SeparationError, ValidationError
 from coxscreen.screening import (
     CONVERGED,
     NOT_CONVERGED,
@@ -345,3 +349,75 @@ def per_candidate_screen(dataset, conditioning, control=cox.FitControl()):
         _fit_one(dataset, list(conditioning.indices) + [j], control, init, null_fit.loglik)
         for j in conditioning.complement(dataset.p)
     ]
+
+
+def _parse_cell(text, row, col_name):
+    try:
+        value = float(text)
+    except ValueError:
+        raise CSVParseError(f"row {row}, column '{col_name}': cannot parse '{text}'") from None
+    if not math.isfinite(value):
+        raise CSVParseError(f"row {row}, column '{col_name}': non-finite value '{text}'")
+    return value
+
+
+def per_cell_read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
+    """Load a dataset from a comma-separated UTF-8 file with a header row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CSVParseError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        for required in (schema.time_col, schema.status_col):
+            if required not in header:
+                raise CSVParseError(f"{path}: missing required column '{required}'")
+        cov_names = [h for h in header if h not in (schema.time_col, schema.status_col)]
+        if not cov_names:
+            raise CSVParseError(f"{path}: no covariate columns")
+        pos = {name: header.index(name) for name in header}
+
+        times, statuses, rows = [], [], []
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CSVParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
+            times.append(_parse_cell(row[pos[schema.time_col]], row_num, schema.time_col))
+            statuses.append(_parse_cell(row[pos[schema.status_col]], row_num, schema.status_col))
+            rows.append([_parse_cell(row[pos[name]], row_num, name) for name in cov_names])
+
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    return SurvivalDataset(times, statuses, np.array(rows, dtype=float), cov_names)
+
+
+def json_dump_result_to_json(result, path):
+    payload = {
+        "conditioning": list(result.conditioning.indices),
+        "null_fit": {
+            "coefficients": [float(v) for v in result.null_fit.coefficients],
+            "loglik": result.null_fit.loglik,
+            "iterations": result.null_fit.iterations,
+            "converged": result.null_fit.converged,
+        },
+        "records": [
+            {
+                "index": rec.index,
+                "name": result.covariate_names[rec.index - 1],
+                "beta_hat": rec.beta_hat,
+                "sigma_hat": rec.sigma_hat,
+                "wald": rec.wald,
+                "plik": rec.plik,
+                "fit_status": rec.fit_status,
+                "iterations": rec.iterations,
+                "conditioning_coefficients": list(rec.conditioning_coefficients),
+            }
+            for rec in result.records
+        ],
+        "rankings": {name: list(ranking) for name, ranking in result.rankings.items()},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -93,6 +93,13 @@ class TestScreenCommand:
         assert code == 1
         assert "error category=io" in capsys.readouterr().err
 
+    def test_same_time_and_status_column_reports_io_category(self, toy_csv, tmp_path, capsys):
+        code = main(["screen", "--input", toy_csv, "--time-col", "time", "--status-col", "time",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error category=io: " in err and "column 'time' is both time and status" in err
+
     def test_rerun_byte_identical(self, toy_csv, tmp_path):
         out_a = str(tmp_path / "a.csv")
         out_b = str(tmp_path / "b.csv")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from coxscreen import data
 from coxscreen.data import (
     ColumnSchema,
     ConditioningSet,
@@ -13,7 +16,7 @@ from coxscreen.data import (
 from coxscreen.errors import CSVParseError, ValidationError
 
 from conftest import random_dataset
-from oracles import build_risk_sets
+from oracles import build_risk_sets, per_cell_read_csv
 
 
 def make(times, statuses, covs):
@@ -154,6 +157,131 @@ class TestCSV:
         ds = read_csv(path, ColumnSchema("followup", "dead"))
         assert ds.p == 2 and ds.covariate_names == ["a", "b"]
         assert list(ds.time) == [1.0, 2.0] and list(ds.status) == [1, 0]
+
+    @pytest.mark.parametrize(
+        "header, name",
+        [("time,status,z,z", "z"), ("time,status,a,time", "time"), ("status,a,status,time", "status")],
+    )
+    def test_duplicate_column_rejected(self, tmp_path, header, name):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n1.0,1,0.5,0.7\n2.0,0,0.1,0.2\n")
+        with pytest.raises(CSVParseError, match=f"duplicate column '{name}'"):
+            read_csv(path)
+
+    def test_time_column_equal_to_status_column_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("t,a\n1.0,0.5\n2.0,0.1\n")
+        with pytest.raises(CSVParseError, match="column 't' is both time and status"):
+            read_csv(path, ColumnSchema("t", "t"))
+
+    def test_written_file_is_read_in_bulk(self, tmp_path, rng, monkeypatch):
+        ds = random_dataset(rng, 30, 5, censor_upper=2.0)
+        path = tmp_path / "rt.csv"
+        write_csv(ds, path)
+
+        def no_per_cell(*args):
+            raise AssertionError("fell back to the per-cell parser")
+
+        monkeypatch.setattr(data, "_per_cell_table", no_per_cell)
+        assert read_csv(path) == ds
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", ["", "\n\r\n\r\r", "1.0,1,0.5\n", "1.0,1,0.5,9\n2.0,0,0.1,9\n",
+                                      "1.0,1\n2.0,0\n"])
+    def test_too_few_rows_or_every_row_wrong_width(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        path.write_text("time,status,z\n" + rows)
+        with pytest.raises(ValidationError, match="need at least 2 data rows|row 2 has"):
+            read_csv(path)
+        assert_same_outcome(path)
+
+    # numpy rejects the first three, so they take the per-cell path; it strips the last two
+    @pytest.mark.parametrize("cell", ['"0.5"', "0_5", "\u0665", " 5\u00a0", "5\x0c"])
+    def test_odd_cells_read_as_float_reads_them(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"time,status,z\n1.0,1,{cell}\n2.0,0,0.1\n", encoding="utf-8")
+        ds = read_csv(path)
+        assert ds.covariates[0, 0] == float(cell.strip('"'))
+        assert_same_outcome(path)
+
+
+def read_outcome(reader, path):
+    """A dataset's bytes and layout, or the type and message of what reading it raised."""
+    try:
+        ds = reader(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    arrays = (ds.time, ds.status, ds.covariates)
+    return [(a.dtype, a.shape, a.strides, a.tobytes()) for a in arrays], ds.covariate_names
+
+
+def assert_same_outcome(path):
+    assert read_outcome(read_csv, path) == read_outcome(per_cell_read_csv, path)
+
+
+ODD_CELLS = (
+    "+1", " 1.5 ", "\t2\t", '"1.5"', '"1,5"', '""', "1_0", "1e400", "-1e400", "nan", "-inf",
+    "Infinity", "", " ", "#", "# 1", "-0.0", "0x10", "1.5.2", "1d5", "\u0661\u0662", "1\u00a0",
+    "\u3000" + "3", "1\x1c", "\x1f2", "1\x0b", "4\x85",
+)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+TIMES = st.floats(0.0, 1e6).map(repr)
+STATUSES = st.sampled_from(["0", "1", "1.0", "0e0", "+1", "-0", " 1 "])
+ODD_ROWS = ("blank", "spaces", "short", "long", "comment")
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with odd cells and rows; mostly a readable dataset."""
+    names = ["time", "status"] + [f"z{k}" for k in range(draw(st.integers(1, 4)))]
+    header = draw(st.permutations(names))
+    odd_cells, odd_rows = draw(st.sampled_from([0, 2, 10, 40])), draw(st.sampled_from([0, 10, 40]))
+    base = {"time": TIMES, "status": STATUSES}
+
+    def cell(name):
+        if draw(st.integers(0, 99)) < odd_cells:
+            return draw(st.sampled_from(ODD_CELLS))
+        return draw(base.get(name, NUMBERS))
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(2, 8))):
+        cells = [cell(name) for name in header]
+        kind = draw(st.sampled_from(ODD_ROWS)) if draw(st.integers(0, 99)) < odd_rows else "data"
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t"])))
+        elif kind == "comment":
+            lines.append("#" + ",".join(cells))
+        elif kind == "short":
+            lines.append(",".join(cells[:-1]))
+        else:
+            lines.append(",".join(cells + (["1"] if kind == "long" else [])))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestReadCSVOracle:
+    """read_csv against the per-cell reader: the same dataset bit for bit, or the same error."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(text=csv_texts())
+    def test_matches_per_cell_reader(self, tmp_path, text):
+        path = tmp_path / "h.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(path)
 
 
 class TestConditioningSet:

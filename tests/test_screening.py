@@ -28,7 +28,7 @@ from coxscreen.screening import (
 )
 
 from conftest import random_dataset
-from oracles import brute_rank, per_candidate_screen
+from oracles import brute_rank, json_dump_result_to_json, per_candidate_screen
 
 
 @pytest.fixture
@@ -78,6 +78,13 @@ class TestScreen:
     def test_records_cover_complement(self, dataset):
         result = screen(dataset, ConditioningSet((2, 4)))
         assert [rec.index for rec in result.records] == [1, 3, 5, 6]
+
+    def test_record_lookup(self, dataset):
+        result = screen(dataset, ConditioningSet((2, 4)))
+        assert [result.record(j).index for j in (1, 3, 5, 6)] == [1, 3, 5, 6]
+        for j in (0, 2, 4, 7):
+            with pytest.raises(ValidationError, match=f"no screening record for covariate {j}"):
+                result.record(j)
         for name in ("mple", "wald", "plik"):
             assert sorted(result.rankings[name]) == [1, 3, 5, 6]
 
@@ -324,3 +331,47 @@ class TestExports:
         assert len(payload["records"]) == 5
         assert payload["records"][0]["conditioning_coefficients"]
         assert set(payload["rankings"]) == {"mple", "wald", "plik"}
+
+
+class TestJSONBytes:
+    """result_to_json writes the bytes of json.dump(payload, indent=1, sort_keys=True)."""
+
+    NAMES = [
+        "a", "caf\u00e9", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u65e5\u672c", "\U0001f600", "z"
+    ]
+
+    @staticmethod
+    def assert_same_bytes(result, tmp_path):
+        result_to_json(result, tmp_path / "got.json")
+        json_dump_result_to_json(result, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def dataset_with_failures(self, rng):
+        """Column 5 constant (singular given C), column 6 ordered with time (separation)."""
+        ds = tied_censored_dataset(rng, 60, 8, 2)
+        z = ds.covariates.copy()
+        z[:, 4] = 3.7
+        z[:, 5] = -ds.time
+        return SurvivalDataset(ds.time, ds.status, z, self.NAMES)
+
+    @pytest.mark.parametrize("cond", [(), (1,), (1, 2, 3)])
+    def test_matches_json_dump(self, rng, tmp_path, cond):
+        ds = self.dataset_with_failures(rng)
+        result = screen(ds, ConditioningSet(cond), FitControl(coefficient_bound=2.0))
+        assert {r.fit_status for r in result.records} >= {CONVERGED, SEPARATION}
+        self.assert_same_bytes(result, tmp_path)
+        self.assert_same_bytes(screen(ds, ConditioningSet(cond), statistics=("wald",)), tmp_path)
+
+    def test_infinite_values(self, rng, tmp_path):
+        result = screen(self.dataset_with_failures(rng), ConditioningSet((1,)))
+        records = tuple(
+            replace(r, wald=math.inf, plik=-math.inf, beta_hat=-0.0) for r in result.records
+        )
+        self.assert_same_bytes(replace(result, records=records), tmp_path)
+
+    def test_no_candidates(self, rng, tmp_path):
+        ds = SurvivalDataset(rng.exponential(size=40), np.ones(40), rng.normal(size=(40, 3)))
+        result = screen(ds, ConditioningSet((1, 2, 3)))
+        assert result.records == ()
+        self.assert_same_bytes(result, tmp_path)
+        assert '"records": []' in (tmp_path / "got.json").read_text()
