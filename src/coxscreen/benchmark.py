@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from . import baselines, metrics, screening, simulate
 from .cox import FitControl
@@ -73,9 +72,7 @@ def run_benchmark(
     if replicates < 1:
         raise ValidationError("need at least 1 replicate")
     conditioning = screening.parse_conditioning(conditioning)
-    if config.censor_upper is None and config.censor_target > 0:
-        c, _ = simulate.calibrate_censoring(config)
-        config = replace(config, censor_upper=c)
+    config = simulate.with_censor_upper(config)
 
     jobs = [(config, rid, methods, conditioning, control) for rid in range(replicates)]
     if workers <= 1:

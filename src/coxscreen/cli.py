@@ -117,7 +117,7 @@ def cmd_screen(args):
 
 
 def cmd_simulate(args):
-    config = _sim_config(args)
+    config = simulate.with_censor_upper(_sim_config(args))
     base, ext = os.path.splitext(args.out)
     ext = ext or ".csv"
     for rid in range(args.replicates):

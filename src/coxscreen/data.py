@@ -212,6 +212,18 @@ def _per_cell_table(lines, header, columns, path):
 
 def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
     """Load a dataset from a comma-separated UTF-8 file with a header row."""
+    try:
+        cov_names, table = _read_table(path, schema)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over csv's field limit
+        raise CSVParseError(f"{path}: {exc}") from None
+    if table.shape[0] < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
+    # C-contiguous copies: numpy and BLAS may sum in another order over strided views
+    return SurvivalDataset(table[:, 0].copy(), table[:, 1].copy(), table[:, 2:].copy(), cov_names)
+
+
+def _read_table(path, schema):
+    """(covariate names, table of the time, status and covariate columns in that order)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -236,13 +248,8 @@ def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
     columns = [pos[schema.time_col], pos[schema.status_col], *(pos[name] for name in cov_names)]
     table = _bulk_table(lines, len(header))
     if table is None:
-        table = _per_cell_table(lines, header, columns, path)
-    else:
-        table = table[:, columns]
-    if table.shape[0] < 2:
-        raise ValidationError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
-    # C-contiguous copies: numpy and BLAS may sum in another order over strided views
-    return SurvivalDataset(table[:, 0].copy(), table[:, 1].copy(), table[:, 2:].copy(), cov_names)
+        return cov_names, _per_cell_table(lines, header, columns, path)
+    return cov_names, table[:, columns]
 
 
 def write_csv(dataset: SurvivalDataset, path, schema: ColumnSchema = ColumnSchema()):

@@ -29,6 +29,7 @@ _CORRELATIONS = (INDEPENDENT, EQUICORRELATED, BLOCK_LAST_INDEPENDENT)
 _STREAM_REPLICATE = 0
 _STREAM_CALIBRATION = 1
 _LP_CLIP = 700.0
+_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once by _covariates (8 MB)
 
 
 @dataclass(frozen=True)
@@ -107,21 +108,35 @@ def _standard_normal(rng, shape):
     return ndtri(np.maximum(u, 1e-300))
 
 
+def _covariates(config: SimConfig, rng, rows, columns) -> np.ndarray:
+    """`rows` draws of the configured design, keeping only `columns` (a 0-based index array).
+
+    Every column is drawn, in row blocks of about _BLOCK_ELEMENTS uniforms
+    (at least one row), so the stream is consumed exactly as one (rows, p)
+    draw would consume it and the kept columns are bit-identical to those of
+    the full matrix, while memory stays bounded whatever p is.
+    """
+    p, rho = config.p, config.rho
+    block = max(1, _BLOCK_ELEMENTS // p)
+    eps = np.empty((rows, len(columns)))
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        eps[start:stop] = rng.random((stop - start, p))[:, columns]
+    eps = ndtri(np.maximum(eps, 1e-300))
+    if config.correlation == INDEPENDENT or rho == 0.0:
+        return eps
+    eta = _standard_normal(rng, (rows, 1))
+    z = np.sqrt(1.0 - rho) * eps + np.sqrt(rho) * eta
+    if config.correlation == BLOCK_LAST_INDEPENDENT:
+        # first p-1 columns equicorrelated, last column independent
+        last = columns == p - 1
+        z[:, last] = eps[:, last]
+    return z
+
+
 def gen_covariates(config: SimConfig, rng) -> np.ndarray:
     """Rows i.i.d. normal with the configured equal-correlation structure."""
-    n, p, rho = config.n, config.p, config.rho
-    if config.correlation == INDEPENDENT or rho == 0.0:
-        return _standard_normal(rng, (n, p))
-    if config.correlation == EQUICORRELATED:
-        eps = _standard_normal(rng, (n, p))
-        eta = _standard_normal(rng, (n, 1))
-        return np.sqrt(1.0 - rho) * eps + np.sqrt(rho) * eta
-    # first p-1 columns equicorrelated, last column independent
-    eps = _standard_normal(rng, (n, p))
-    eta = _standard_normal(rng, (n, 1))
-    z = eps.copy()
-    z[:, : p - 1] = np.sqrt(1.0 - rho) * eps[:, : p - 1] + np.sqrt(rho) * eta
-    return z
+    return _covariates(config, rng, config.n, np.arange(config.p))
 
 
 def gen_survival_times(covariates, beta, intercept, rng):
@@ -143,6 +158,8 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
     The censoring proportion P(T > C) is monotone decreasing in c; a fixed
     Monte-Carlo batch of replicates * n subjects is drawn once and reused for
     every candidate, so the search is deterministic given the config seed.
+    The batch draws the same stream as a replicate design of that many rows
+    but keeps only the active columns, so its memory does not grow with p.
     Returns (c, achieved_rate).
     """
     if target is None:
@@ -151,9 +168,10 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
         raise ValidationError("calibration target must be in (0, 1)")
     rng = _rng(config.seed, 0, _STREAM_CALIBRATION)
     batch = replicates * config.n
-    batch_config = replace(config, n=batch)
-    z = gen_covariates(batch_config, rng)
-    t, _ = gen_survival_times(z, config.dense_beta(), config.intercept, rng)
+    beta = config.dense_beta()
+    active = np.flatnonzero(beta)
+    z = _covariates(config, rng, batch, active)
+    t, _ = gen_survival_times(z, beta[active], config.intercept, rng)
     u = rng.random(batch)
 
     def rate(c):
@@ -180,14 +198,23 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
     raise CalibrationError(f"calibration did not converge: best rate {r} vs target {target}")
 
 
+def with_censor_upper(config: SimConfig) -> SimConfig:
+    """The config with censor_upper set: calibrated to censor_target, or inf at target 0.
+
+    Calibration draws from one stream per seed, whatever the replicate, so
+    callers generating several replicates resolve the bound once with this.
+    """
+    if config.censor_upper is not None:
+        return config
+    if config.censor_target == 0.0:
+        return replace(config, censor_upper=np.inf)
+    c, _ = calibrate_censoring(config)
+    return replace(config, censor_upper=c)
+
+
 def gen_replicate(config: SimConfig, replicate_id: int) -> SimReplicate:
     """One seeded dataset realization; deterministic in (config.seed, replicate_id)."""
-    if config.censor_upper is None:
-        if config.censor_target == 0.0:
-            config = replace(config, censor_upper=np.inf)
-        else:
-            c, _ = calibrate_censoring(config)
-            config = replace(config, censor_upper=c)
+    config = with_censor_upper(config)
     rng = _rng(config.seed, replicate_id, _STREAM_REPLICATE)
     z = gen_covariates(config, rng)
     t, clipped = gen_survival_times(z, config.dense_beta(), config.intercept, rng)

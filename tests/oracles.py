@@ -5,26 +5,37 @@ risk sets are enumerated directly, derivatives come from finite differences,
 maximization is derivative-free, and the Kaplan-Meier product is a literal
 product over censoring times. The screening sweep's oracle is one plain
 ``cox.fit`` per candidate. The CSV reader's oracle parses every cell with
-``float``, and the JSON writer's is ``json.dump``.
+``float``, and the JSON writer's is ``json.dump``. The simulation oracles
+draw the whole covariate matrix at once, and CRIS's builds an n x n pair
+matrix per column.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from coxscreen import cox
+from coxscreen import cox, simulate
+from coxscreen.baselines import CRIS, BaselineResult, ipw_weights
 from coxscreen.data import ColumnSchema, SurvivalDataset
-from coxscreen.errors import CSVParseError, NonIdentifiableError, SeparationError, ValidationError
+from coxscreen.errors import (
+    CalibrationError,
+    CSVParseError,
+    NonIdentifiableError,
+    SeparationError,
+    ValidationError,
+)
 from coxscreen.screening import (
     CONVERGED,
     NOT_CONVERGED,
     SEPARATION,
     SINGULAR,
     CovariateScreenRecord,
+    rank,
 )
+from coxscreen.simulate import BLOCK_LAST_INDEPENDENT, EQUICORRELATED, INDEPENDENT, gen_survival_times
 
 
 @dataclass(frozen=True)
@@ -421,3 +432,91 @@ def json_dump_result_to_json(result, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def full_matrix_covariates(config, rng):
+    """The (n, p) design drawn in one piece, one branch per correlation kind."""
+    n, p, rho = config.n, config.p, config.rho
+    if config.correlation == INDEPENDENT or rho == 0.0:
+        return simulate._standard_normal(rng, (n, p))
+    if config.correlation == EQUICORRELATED:
+        eps = simulate._standard_normal(rng, (n, p))
+        eta = simulate._standard_normal(rng, (n, 1))
+        return np.sqrt(1.0 - rho) * eps + np.sqrt(rho) * eta
+    assert config.correlation == BLOCK_LAST_INDEPENDENT
+    eps = simulate._standard_normal(rng, (n, p))
+    eta = simulate._standard_normal(rng, (n, 1))
+    z = eps.copy()
+    z[:, : p - 1] = np.sqrt(1.0 - rho) * eps[:, : p - 1] + np.sqrt(rho) * eta
+    return z
+
+
+def full_matrix_replicate(config, replicate_id):
+    """(covariates, follow-up times, status) of a replicate whose censor_upper is set."""
+    rng = simulate._rng(config.seed, replicate_id, simulate._STREAM_REPLICATE)
+    z = full_matrix_covariates(config, rng)
+    t, _ = gen_survival_times(z, config.dense_beta(), config.intercept, rng)
+    if np.isfinite(config.censor_upper):
+        c_times = config.censor_upper * rng.random(config.n)
+        return z, np.minimum(t, c_times), (t <= c_times).astype(int)
+    return z, t, np.ones(config.n, dtype=int)
+
+
+def full_matrix_calibrate_censoring(config, target=None, replicates=200, tolerance=0.01):
+    """Bisection for c on a batch whose covariates are the full (replicates * n, p) matrix."""
+    if target is None:
+        target = config.censor_target
+    if not 0.0 < target < 1.0:
+        raise ValidationError("calibration target must be in (0, 1)")
+    rng = simulate._rng(config.seed, 0, simulate._STREAM_CALIBRATION)
+    batch = replicates * config.n
+    batch_config = replace(config, n=batch)
+    z = full_matrix_covariates(batch_config, rng)
+    t, _ = gen_survival_times(z, config.dense_beta(), config.intercept, rng)
+    u = rng.random(batch)
+
+    def rate(c):
+        return float(np.mean(t > c * u))
+
+    lo, hi = 1e-6, 1e6
+    if rate(lo) < target or rate(hi) > target:
+        raise CalibrationError(f"target {target} unreachable within [{lo}, {hi}]")
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        r = rate(mid)
+        if abs(r - target) <= tolerance:
+            return float(mid), r
+        if r > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.0 + 1e-12:
+            break
+    mid = np.sqrt(lo * hi)
+    r = rate(mid)
+    if abs(r - target) <= 5 * tolerance:
+        return float(mid), r
+    raise CalibrationError(f"calibration did not converge: best rate {r} vs target {target}")
+
+
+def per_column_cris(dataset):
+    """CRIS with an n x n matrix of event-weighted comparable pairs, one column at a time."""
+    w = ipw_weights(dataset)
+    time = dataset.time
+    pair_w = w[:, None] * (time[:, None] < time[None, :])  # w_i * I[X_i < X_k]
+    total = pair_w.sum()
+    if total <= 0:
+        raise ValidationError("no comparable pairs for the rank statistic")
+    z_sorted = np.sort(dataset.covariates, axis=0)
+    degenerate = z_sorted[0] == z_sorted[-1]
+    tied = np.any(z_sorted[1:] == z_sorted[:-1], axis=0)
+    values = np.zeros(dataset.p)
+    for j in np.flatnonzero(~degenerate):
+        z = dataset.covariates[:, j]
+        if tied[j]:
+            conc = 0.5 * np.sign(z[None, :] - z[:, None])
+        else:  # equal to the sign form when no pair ties
+            conc = (z[:, None] < z[None, :]).astype(float) - 0.5
+        values[j] = min(2.0 * abs(np.sum(pair_w * conc)) / total, 1.0)
+    ranking = rank(np.arange(1, dataset.p + 1), values)
+    return BaselineResult(CRIS, values, ranking, tuple(int(j) + 1 for j in np.flatnonzero(degenerate)))

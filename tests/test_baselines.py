@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxscreen.baselines import KM_FLOOR, cors, cris, ipw_weights, psis
 from coxscreen.data import ConditioningSet, SurvivalDataset
@@ -7,7 +9,13 @@ from coxscreen.errors import ValidationError
 from coxscreen.screening import CONVERGED, screen
 
 from conftest import random_dataset
-from oracles import brute_censoring_km_left, brute_cris, km_loop_ipw_weights, per_column_cors
+from oracles import (
+    brute_censoring_km_left,
+    brute_cris,
+    km_loop_ipw_weights,
+    per_column_cors,
+    per_column_cris,
+)
 
 
 def tied_dataset(rng, n, p, censor_upper):
@@ -202,6 +210,54 @@ class TestCRIS:
         result = cris(SurvivalDataset(np.minimum(t, c), (t <= c).astype(int), z))
         assert np.median(result.statistics[1:]) < 0.15
         assert result.ranking[0] == 1
+
+
+@st.composite
+def cris_datasets(draw):
+    """Small datasets with optional ties in the times and in each covariate column."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 4))
+    tied_times = draw(st.booleans())
+    time = draw(st.lists(st.integers(1, 4).map(float) if tied_times
+                         else st.floats(0.01, 100.0, allow_subnormal=False), min_size=n, max_size=n))
+    status = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    columns = []
+    for _ in range(p):
+        values = (st.integers(-2, 2).map(float) if draw(st.booleans())
+                  else st.floats(-1e3, 1e3, allow_subnormal=False))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    return SurvivalDataset(time, status, np.array(columns).T.reshape(n, p))
+
+
+class TestCRISOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(cris_datasets())
+    def test_matches_per_column_and_pair_enumeration(self, ds):
+        try:
+            expected = per_column_cris(ds)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=str(exc)):
+                cris(ds)
+            return
+        result = cris(ds)
+        np.testing.assert_allclose(result.statistics, expected.statistics, rtol=1e-14, atol=1e-15)
+        assert result.degenerate == expected.degenerate
+        # Statistics equal in exact arithmetic can round apart in either code (two
+        # columns worth 0.5 came out 0.5 and 0.49999999999999994), so the rankings
+        # must be identical only where rounding cannot reorder them.
+        in_order = expected.statistics[np.array(result.ranking) - 1]
+        assert np.all(np.diff(in_order) <= 3e-14)
+        if np.all(np.diff(np.sort(expected.statistics)) > 1e-12):
+            assert result.ranking == expected.ranking
+        w = ipw_weights(ds)
+        brute = [brute_cris(ds.time, ds.status, ds.covariates[:, j], w) for j in range(ds.p)]
+        np.testing.assert_allclose(result.statistics, brute, rtol=1e-14, atol=1e-15)
+
+    def test_no_comparable_pairs(self):
+        # every event is at the last follow-up time, so no event has a later row
+        ds = SurvivalDataset([1.0, 2.0, 3.0, 3.0], [0, 0, 1, 1], np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValidationError, match="no comparable pairs"):
+            cris(ds)
 
 
 class TestRankings:

@@ -100,6 +100,23 @@ class TestScreenCommand:
         err = capsys.readouterr().err
         assert "error category=io: " in err and "column 'time' is both time and status" in err
 
+    def test_undecodable_csv_reports_one_io_line(self, toy_csv, tmp_path, capsys):
+        content = open(toy_csv, "rb").read()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content[:-10] + b"\xff" + content[-9:])
+        code = main(["screen", "--input", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error category=io: {bad}: ")
+
+    def test_oversized_quoted_cell_reports_one_io_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('time,status,z1\n1.0,1,0.5\n2.0,0,"' + "1" * 200_000 + '"\n')
+        code = main(["screen", "--input", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error category=io: ")
+
     def test_rerun_byte_identical(self, toy_csv, tmp_path):
         out_a = str(tmp_path / "a.csv")
         out_b = str(tmp_path / "b.csv")
@@ -132,6 +149,29 @@ class TestSimulateCommand:
         for rid in range(3):
             assert os.path.exists(str(tmp_path / f"sim_r{rid}.csv"))
         assert not os.path.exists(out)
+
+    def test_replicates_share_one_calibration(self, tmp_path, monkeypatch):
+        from coxscreen import simulate
+
+        config = simulate.example_config(3, n=30, p=5, censor_target=0.3, seed=4)
+        expected = []
+        for rid in range(3):
+            path = tmp_path / f"expected_r{rid}.csv"
+            write_csv(simulate.gen_replicate(config, rid).dataset, path)
+            expected.append(path.read_bytes())
+        calls = []
+        calibrate = simulate.calibrate_censoring
+
+        def counting_calibrate(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", counting_calibrate)
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--example", "3", "--n", "30", "--p", "5", "--censoring", "0.3",
+                     "--seed", "4", "--replicates", "3", "--out", out]) == 0
+        assert len(calls) == 1
+        assert [(tmp_path / f"sim_r{rid}.csv").read_bytes() for rid in range(3)] == expected
 
     def test_seed_changes_output(self, tmp_path):
         outs = []

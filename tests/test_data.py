@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -142,6 +144,18 @@ class TestCSV:
         path = tmp_path / "d.csv"
         path.write_text("time,status,z1\n1.0,1,0.5\n2.0,0\n")
         with pytest.raises(CSVParseError, match="row 3"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"time,status,z1\n1.0,1,0.5\n2.0,0,0.\xff1\n", "can't decode byte 0xff"),
+        (b"time,status,\xffz\n1.0,1,0.5\n2.0,0,0.1\n", "can't decode byte 0xff"),
+        (b'time,status,z1\n1.0,1,0.5\n2.0,0,"' + b"1" * 200_000 + b'"\n', "field larger than field limit"),
+        (b"time,status," + b"z" * 200_000 + b"\n1.0,1,0.5\n2.0,0,0.1\n", "field larger than field limit"),
+    ], ids=["bad-byte-in-cell", "bad-byte-in-header", "long-quoted-cell", "long-header"])
+    def test_undecodable_bytes_and_oversized_fields(self, tmp_path, content, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(CSVParseError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_csv(path)
 
     def test_roundtrip_exact(self, tmp_path, rng):

@@ -1,7 +1,10 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from coxscreen import simulate
 from coxscreen.cox import fit
 from coxscreen.errors import ValidationError
 from coxscreen.simulate import (
@@ -14,9 +17,14 @@ from coxscreen.simulate import (
     gen_covariates,
     gen_replicate,
     gen_survival_times,
+    with_censor_upper,
 )
 
-from oracles import linear_predictor_covariance
+from oracles import (
+    full_matrix_calibrate_censoring,
+    full_matrix_replicate,
+    linear_predictor_covariance,
+)
 
 
 class TestCovariates:
@@ -114,6 +122,67 @@ class TestCalibration:
             calibrate_censoring(config, 1.5)
 
 
+def _calibration_configs(tmp_path):
+    configs = [
+        (example_config(ex, n=n, p=p, seed=seed), target, 200)
+        for ex in (1, 2, 3)
+        for n, p in ((30, 7), (60, 40), (20, 300))
+        for seed in (0, 9)
+        for target in (0.2, 0.4)
+    ]
+    configs.append((SimConfig(n=40, p=12, beta={2: 1.5, 9: -0.7}, correlation="equicorrelated",
+                              rho=0.0, seed=3), 0.3, 200))
+    path = tmp_path / "sim.cfg"
+    path.write_text("n=25\np=30\nbeta.1=1.0\nbeta.4=0.0\nbeta.30=-2.0\n"
+                    "correlation=block_last_independent\nrho=0.6\nintercept=0.5\nseed=8\n")
+    zero_entry = config_from_kv(path)
+    assert zero_entry.beta[4] == 0.0 and 4 not in zero_entry.true_active
+    configs.append((zero_entry, 0.25, 200))
+    configs.append((example_config(1, n=50, p=20, seed=4), 0.2, 37))
+    configs.append((example_config(3, n=50, p=20, seed=4), 0.4, 1))
+    return configs
+
+
+class TestCalibrationOracle:
+    def test_bitwise_equal_to_full_matrix_batch(self, tmp_path):
+        for config, target, replicates in _calibration_configs(tmp_path):
+            got = calibrate_censoring(config, target, replicates=replicates)
+            expected = full_matrix_calibrate_censoring(config, target, replicates=replicates)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (config, target)
+
+    def test_memory_does_not_grow_with_p(self):
+        # the full (200 n, p) batch alone would take 200 * 20 * 5000 * 8 bytes = 160 MB
+        config = example_config(1, n=20, p=5000, seed=2)
+        tracemalloc.start()
+        try:
+            calibrate_censoring(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestBlockedCovariates:
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    @pytest.mark.parametrize("n, p, block_elements", [
+        (7, 6, None),  # a single partial block
+        (209, 5000, None),  # exactly one block of 2**20 // 5000 = 209 rows
+        (300, 5000, None),  # one full and one partial block
+        (418, 5000, None),  # exactly two blocks
+        (11, 6, 13),  # blocks of 2 rows, the last one partial
+        (5, 6, 1),  # p above the block size: one row per block
+    ])
+    def test_replicate_bitwise_equal_to_full_matrix(self, monkeypatch, example, n, p, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", block_elements)
+        config = replace(example_config(example, n=n, p=p, seed=example), censor_upper=3.0)
+        rep = gen_replicate(config, 2)
+        z, time, status = full_matrix_replicate(config, 2)
+        assert rep.dataset.covariates.tobytes() == z.tobytes()
+        assert rep.dataset.time.tobytes() == time.tobytes()
+        assert np.array_equal(rep.dataset.status, status)
+
+
 class TestReplicates:
     def test_deterministic(self):
         config = example_config(1, n=50, p=10, censor_target=0.2, seed=21)
@@ -141,6 +210,15 @@ class TestReplicates:
         config = SimConfig(n=30, p=3, beta={1: 1.0}, seed=5)
         rep = gen_replicate(config, 0)
         assert rep.realized_censoring == 0.0
+        assert with_censor_upper(config).censor_upper == np.inf
+
+    def test_with_censor_upper_calibrates_once_for_every_replicate(self):
+        config = example_config(2, n=40, p=8, censor_target=0.3, seed=6)
+        resolved = with_censor_upper(config)
+        assert resolved.censor_upper == calibrate_censoring(config)[0]
+        assert with_censor_upper(resolved) is resolved
+        for rid in range(3):
+            assert gen_replicate(resolved, rid).dataset == gen_replicate(config, rid).dataset
 
 
 class TestDesignProperties:
