@@ -31,17 +31,13 @@ class BaselineResult:
     degenerate: tuple = field(default=())  # zero-range columns, scored 0 (CORS and CRIS)
 
 
-def psis(dataset: SurvivalDataset, flavor="wald", control=cox.FitControl(), workers=1) -> BaselineResult:
+def psis(dataset: SurvivalDataset, flavor="wald", control=cox.FitControl()) -> BaselineResult:
     """Marginal (one covariate at a time) Cox screening; flavor 'wald' or 'plik'."""
     if flavor not in ("wald", "plik"):
         raise ValidationError(f"unknown PSIS flavor '{flavor}'")
-    result = screening.screen(
-        dataset, ConditioningSet(), control, statistics=(flavor,), workers=workers
-    )
+    result = screening.screen(dataset, ConditioningSet(), control, statistics=(flavor,))
     values = np.full(dataset.p, np.nan)
-    for rec in result.records:
-        if rec.fit_status == screening.CONVERGED:
-            values[rec.index - 1] = rec.statistic(flavor)
+    values[result.index - 1] = result.statistic(flavor)  # NaN unless the fit converged
     method = PSIS_WALD if flavor == "wald" else PSIS_PLIK
     return BaselineResult(method, values, result.rankings[flavor])
 
@@ -114,8 +110,11 @@ def cris(dataset: SurvivalDataset) -> BaselineResult:
     total = w @ later
     if total <= 0:
         raise ValidationError("no comparable pairs for the rank statistic")
+    events = np.flatnonzero(w * later)
     num = np.zeros(dataset.p)
-    for i in np.flatnonzero(w * later):
-        num += w[i] * np.sign(x_desc[: later[i]] - x[i]).sum(axis=0)
+    # scale the exact sign counts once per distinct weight, so equal counts give equal sums
+    for weight in np.unique(w[events]):
+        group = events[w[events] == weight]
+        num += weight * sum(np.sign(x_desc[: later[i]] - x[i]).sum(axis=0) for i in group)
     degenerate = x.max(axis=0) == x.min(axis=0)
     return _column_result(CRIS, np.minimum(np.abs(num) / total, 1.0), degenerate)

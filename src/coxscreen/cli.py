@@ -85,6 +85,10 @@ def _write_selected(path, indices, names):
 def cmd_screen(args):
     if args.gamma is not None and args.top_k is not None:
         raise ConfigError("choose exactly one of --gamma and --top-k")
+    if args.gamma is not None and not args.gamma > 0:
+        raise ConfigError(f"--gamma must be positive, got {args.gamma}")
+    if args.top_k is not None and args.top_k < 1:
+        raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
     dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
     stats = _parse_stats(args.stats)
     cond = screening.resolve_conditioning(args.conditioning, dataset, workers=args.workers)
@@ -92,10 +96,10 @@ def cmd_screen(args):
         print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)
     result = screening.screen(dataset, cond, FitControl(), statistics=stats, workers=args.workers)
 
-    failures = sum(1 for r in result.records if r.fit_status != screening.CONVERGED)
+    failures = (result.fit_status != screening.CONVERGED).sum()
     print(
         f"null fit: loglik={result.null_fit.loglik:.6f} iterations={result.null_fit.iterations}; "
-        f"records={len(result.records)} failures={failures}",
+        f"records={result.index.size} failures={failures}",
         file=sys.stderr,
     )
     if args.format == "json":
@@ -105,14 +109,15 @@ def cmd_screen(args):
 
     stat = stats[0]
     base, _ = os.path.splitext(args.out)
-    if args.gamma is not None:
+    if not result.index.size:
+        print("warning: conditioning set covers all covariates; nothing to screen", file=sys.stderr)
+        selected = []
+    elif args.gamma is not None:
         selected = screening.select_by_threshold(result, stat, args.gamma)
-        _write_selected(base + "_selected.csv", selected, result.covariate_names)
     else:
         k = args.top_k if args.top_k is not None else screening.default_top_k(dataset.n)
-        k = min(k, len(result.records))
-        selected = screening.select_top_k(result, stat, k)
-        _write_selected(base + "_selected.csv", selected, result.covariate_names)
+        selected = screening.select_top_k(result, stat, min(k, result.index.size))
+    _write_selected(base + "_selected.csv", selected, result.covariate_names)
     return 0
 
 

@@ -11,13 +11,12 @@ three screening statistics are derived from the added coordinate:
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
-import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -42,60 +41,50 @@ class CovariateScreenRecord:
     iterations: int
     conditioning_coefficients: tuple = ()
 
-    def statistic(self, name):
-        if name == "mple":
-            return abs(self.beta_hat)
-        if name == "wald":
-            return self.wald
-        if name == "plik":
-            return self.plik
-        raise ValidationError(f"unknown statistic '{name}'")
+
+_COLUMNS = tuple(f.name for f in fields(CovariateScreenRecord))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScreeningResult:
+    """One read-only array per field; row i of each is candidate index[i].
+
+    Only converged fits have numbers, but beta_hat is also kept where the variance was singular.
+    """
+
     conditioning: ConditioningSet
     null_fit: cox.CoxFit
-    records: tuple  # CovariateScreenRecord, ascending covariate index
+    index: np.ndarray  # (m,) 1-based candidate indices, ascending
+    beta_hat: np.ndarray
+    sigma_hat: np.ndarray
+    wald: np.ndarray
+    plik: np.ndarray
+    fit_status: np.ndarray  # CONVERGED, NOT_CONVERGED, SEPARATION or SINGULAR
+    iterations: np.ndarray
+    conditioning_coefficients: np.ndarray  # (m, q)
     rankings: dict  # statistic name -> tuple of covariate indices, best first
     covariate_names: list
 
-    def record(self, j) -> CovariateScreenRecord:
-        k = bisect.bisect_left(self.records, j, key=operator.attrgetter("index"))
-        if k < len(self.records) and self.records[k].index == j:
-            return self.records[k]
-        raise ValidationError(f"no screening record for covariate {j}")
+    def __post_init__(self):
+        for name in _COLUMNS:
+            getattr(self, name).setflags(write=False)
 
+    def statistic(self, name):
+        """The column of a screening statistic: |beta_hat| for mple, else the field it names."""
+        if name not in STATISTICS:
+            raise ValidationError(f"unknown statistic '{name}'")
+        return np.abs(self.beta_hat) if name == "mple" else getattr(self, name)
 
-def _record(j, coefficients, loglik, variance, iterations, status, null_loglik):
-    nan = float("nan")
-    iterations = int(iterations)
-    if status != CONVERGED:
-        return CovariateScreenRecord(j, nan, nan, nan, nan, status, iterations)
-    beta = float(coefficients[-1])
-    variance = float(variance)
-    if not (math.isfinite(variance) and variance > 0):
-        return CovariateScreenRecord(j, beta, nan, nan, nan, SINGULAR, iterations)
-    sigma = math.sqrt(variance)
-    return CovariateScreenRecord(
-        index=j,
-        beta_hat=beta,
-        sigma_hat=sigma,
-        wald=abs(beta) / sigma,
-        plik=float(loglik) - null_loglik,
-        fit_status=CONVERGED,
-        iterations=iterations,
-        conditioning_coefficients=tuple(float(v) for v in coefficients[:-1]),
-    )
+    @property
+    def records(self):
+        """The rows as CovariateScreenRecords, built anew on each access.
 
-
-def _screen_part(args):
-    """The records of the candidates js, from one batched fit."""
-    dataset, cond_indices, js, control, null_fit = args
-    init = np.append(null_fit.coefficients, 0.0)
-    batch = cox.fit_batch(dataset, cond_indices, js, control, init)
-    rows = zip(batch.coefficients, batch.loglik, batch.variance, batch.iterations, batch.status)
-    return [_record(j, *row, null_fit.loglik) for j, row in zip(js, rows)]
+        Nothing in the library reads it; the acceptance tests and perfbench do.
+        """
+        return tuple(
+            CovariateScreenRecord(j, b, s, w, pl, st, it, tuple(cc) if st == CONVERGED else ())
+            for j, b, s, w, pl, st, it, cc in zip(*(getattr(self, n).tolist() for n in _COLUMNS))
+        )
 
 
 def rank(indices, values, failed=None):
@@ -118,7 +107,7 @@ def screen(
 ) -> ScreeningResult:
     """Fit every (q+1)-dimensional marginal model and rank the candidates.
 
-    The result is identical for any worker count: records are assembled by
+    The result is identical for any worker count: rows are assembled by
     covariate index, never by completion order.
     """
     report = validate(dataset)
@@ -135,29 +124,39 @@ def screen(
     if not null_fit.converged:
         raise NonIdentifiableError("null model on the conditioning set did not converge")
 
-    candidates = conditioning.complement(dataset.p)
+    candidates = np.array(conditioning.complement(dataset.p), dtype=int)
+    cond, init = conditioning.indices, np.append(null_fit.coefficients, 0.0)
     if workers <= 1 or len(candidates) < 2 * workers:
-        records = _screen_part((dataset, conditioning.indices, candidates, control, null_fit))
+        parts = [cox.fit_batch(dataset, cond, candidates, control, init)]
     else:
-        chunks = [c.tolist() for c in np.array_split(candidates, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _screen_part,
-                [(dataset, conditioning.indices, c, control, null_fit) for c in chunks],
-            )
-            records = [rec for part in parts for rec in part]
-    failed = [rec.fit_status != CONVERGED for rec in records]
-    rankings = {
-        name: rank(candidates, [rec.statistic(name) for rec in records], failed)
-        for name in statistics
-    }
-    return ScreeningResult(
+            parts = list(pool.map(cox.fit_batch, repeat(dataset), repeat(cond),
+                                  np.array_split(candidates, workers), repeat(control), repeat(init)))
+    coefficients, loglik, variance, iterations, status = (
+        np.concatenate(arrays) for arrays in zip(*(vars(part).values() for part in parts))
+    )
+    fitted = status == CONVERGED
+    singular = fitted & ~(np.isfinite(variance) & (variance > 0))
+    converged = fitted & ~singular
+    beta = np.where(fitted, coefficients[:, -1], np.nan)
+    sigma = np.sqrt(np.where(converged, variance, np.nan))
+    result = ScreeningResult(
         conditioning=conditioning,
         null_fit=null_fit,
-        records=tuple(records),
-        rankings=rankings,
+        index=candidates,
+        beta_hat=beta,
+        sigma_hat=sigma,
+        wald=np.abs(beta) / sigma,
+        plik=np.where(converged, loglik - null_fit.loglik, np.nan),
+        fit_status=np.where(singular, SINGULAR, status.astype(str)),
+        iterations=iterations,
+        conditioning_coefficients=np.where(converged[:, None], coefficients[:, :-1], np.nan),
+        rankings={},
         covariate_names=list(dataset.covariate_names),
     )
+    for name in statistics:
+        result.rankings[name] = rank(candidates, result.statistic(name), ~converged)
+    return result
 
 
 def select_by_threshold(result: ScreeningResult, statistic, gamma):
@@ -166,11 +165,8 @@ def select_by_threshold(result: ScreeningResult, statistic, gamma):
         raise ValidationError("gamma must be positive")
     if statistic not in result.rankings:
         raise ValidationError(f"statistic '{statistic}' was not computed")
-    return sorted(
-        rec.index
-        for rec in result.records
-        if rec.fit_status == CONVERGED and rec.statistic(statistic) >= gamma
-    )
+    keep = (result.fit_status == CONVERGED) & (result.statistic(statistic) >= gamma)
+    return result.index[keep].tolist()
 
 
 def select_top_k(result: ScreeningResult, statistic, k):
@@ -238,18 +234,11 @@ def result_to_csv(result: ScreeningResult, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "name", "beta_hat", "sigma_hat", "wald", "plik", "fit_status"])
-        for rec in result.records:
-            writer.writerow(
-                [
-                    rec.index,
-                    result.covariate_names[rec.index - 1],
-                    repr(rec.beta_hat),
-                    repr(rec.sigma_hat),
-                    repr(rec.wald),
-                    repr(rec.plik),
-                    rec.fit_status,
-                ]
-            )
+        index = result.index.tolist()
+        names = [result.covariate_names[j - 1] for j in index]
+        columns = (result.beta_hat, result.sigma_hat, result.wald, result.plik)
+        floats = (map(repr, c.tolist()) for c in columns)
+        writer.writerows(zip(index, names, *floats, result.fit_status.tolist()))
 
 
 # One record of result_to_json, keys sorted, as json.dump(..., indent=1) lays it out.
@@ -296,17 +285,19 @@ def result_to_json(result: ScreeningResult, path):
     records = [
         _RECORD_JSON
         % (
-            _json_float(rec.beta_hat),
-            _json_block([_json_float(v) for v in rec.conditioning_coefficients], 3),
-            json.dumps(rec.fit_status),
-            rec.index,
-            rec.iterations,
-            json.dumps(names[rec.index - 1]),
-            _json_float(rec.plik),
-            _json_float(rec.sigma_hat),
-            _json_float(rec.wald),
+            _json_float(beta),
+            _json_block([_json_float(v) for v in coefficients], 3) if status == CONVERGED else "[]",
+            json.dumps(status),
+            j,
+            iterations,
+            json.dumps(names[j - 1]),
+            _json_float(plik),
+            _json_float(sigma),
+            _json_float(wald),
         )
-        for rec in result.records
+        for j, beta, sigma, wald, plik, status, iterations, coefficients in zip(
+            *(getattr(result, name).tolist() for name in _COLUMNS)
+        )
     ]
     null_fit = result.null_fit
     payload = {

@@ -5,9 +5,9 @@ risk sets are enumerated directly, derivatives come from finite differences,
 maximization is derivative-free, and the Kaplan-Meier product is a literal
 product over censoring times. The screening sweep's oracle is one plain
 ``cox.fit`` per candidate. The CSV reader's oracle parses every cell with
-``float``, and the JSON writer's is ``json.dump``. The simulation oracles
-draw the whole covariate matrix at once, and CRIS's builds an n x n pair
-matrix per column.
+``float``; the CSV writer's writes one record at a time, and the JSON
+writer's is ``json.dump``. The simulation oracles draw the whole covariate
+matrix at once, and CRIS's builds an n x n pair matrix per column.
 """
 
 import csv
@@ -402,6 +402,24 @@ def per_cell_read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDa
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     return SurvivalDataset(times, statuses, np.array(rows, dtype=float), cov_names)
+
+
+def record_loop_result_to_csv(result, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "name", "beta_hat", "sigma_hat", "wald", "plik", "fit_status"])
+        for rec in result.records:
+            writer.writerow(
+                [
+                    rec.index,
+                    result.covariate_names[rec.index - 1],
+                    repr(rec.beta_hat),
+                    repr(rec.sigma_hat),
+                    repr(rec.wald),
+                    repr(rec.plik),
+                    rec.fit_status,
+                ]
+            )
 
 
 def json_dump_result_to_json(result, path):

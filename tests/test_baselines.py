@@ -30,9 +30,12 @@ class TestPSIS:
         marginal = screen(ds, ConditioningSet(), statistics=("wald", "plik"))
         for flavor in ("wald", "plik"):
             result = psis(ds, flavor)
-            for rec in marginal.records:
-                if rec.fit_status == CONVERGED:
-                    assert result.statistics[rec.index - 1] == rec.statistic(flavor)
+            converged = marginal.fit_status == CONVERGED
+            np.testing.assert_array_equal(
+                result.statistics[marginal.index[converged] - 1],
+                marginal.statistic(flavor)[converged],
+            )
+            assert np.isnan(result.statistics[marginal.index[~converged] - 1]).all()
             assert result.ranking == marginal.rankings[flavor]
 
     def test_single_covariate(self, rng):
@@ -210,6 +213,15 @@ class TestCRIS:
         result = cris(SurvivalDataset(np.minimum(t, c), (t <= c).astype(int), z))
         assert np.median(result.statistics[1:]) < 0.15
         assert result.ranking[0] == 1
+
+    def test_equal_sign_counts_give_equal_statistics(self):
+        # two events of equal weight w: column 1 counts -3 and +1, column 2 +1 and +1,
+        # so both sums are 2w in size; summed event by event, column 1 came out
+        # 0.49999999999999994
+        z = np.array([[0, 1, -1, 0, 0, 0], [0, 0, 0, 0, 0, 1]], dtype=float).T
+        result = cris(SurvivalDataset([3, 2, 3, 1, 1, 4], [0, 1, 1, 0, 0, 0], z))
+        assert result.statistics.tolist() == [0.5, 0.5]
+        assert result.ranking == (1, 2)
 
 
 @st.composite

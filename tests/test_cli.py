@@ -54,6 +54,29 @@ class TestScreenCommand:
         assert code == 1
         assert "error category=config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [("--top-k", "0"), ("--top-k", "-2"), ("--gamma", "nan"), ("--gamma", "0")]
+    )
+    def test_bad_selection_rejected_before_screening(self, toy_csv, tmp_path, capsys, flag):
+        out = tmp_path / "res.csv"
+        assert main(["screen", "--input", toy_csv, *flag, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error category=config: ")
+        assert not out.exists() and not (tmp_path / "res_selected.csv").exists()
+
+    @pytest.mark.parametrize("selection", [(), ("--top-k", "2"), ("--gamma", "0.1")])
+    def test_no_candidates_warns_and_selects_nothing(self, rng, tmp_path, capsys, selection):
+        path = tmp_path / "three.csv"
+        write_csv(random_dataset(rng, 40, 3, censor_upper=3.0), path)
+        out = str(tmp_path / "res.csv")
+        code = main(["screen", "--input", str(path), "--conditioning", "1,2,3", *selection,
+                     "--out", out])
+        assert code == 0
+        assert "warning: conditioning set covers all covariates" in capsys.readouterr().err
+        assert _read_rows(out) == [["index", "name", "beta_hat", "sigma_hat", "wald", "plik",
+                                    "fit_status"]]
+        assert _read_rows(str(tmp_path / "res_selected.csv")) == [["index", "name"]]
+
     def test_auto_conditioning_reported(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
         code = main(["screen", "--input", toy_csv, "--conditioning", "auto", "--out", out])

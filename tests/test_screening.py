@@ -15,7 +15,6 @@ from coxscreen.screening import (
     NOT_CONVERGED,
     SEPARATION,
     SINGULAR,
-    _screen_part,
     default_conditioning,
     default_top_k,
     parse_conditioning,
@@ -28,7 +27,25 @@ from coxscreen.screening import (
 )
 
 from conftest import random_dataset
-from oracles import brute_rank, json_dump_result_to_json, per_candidate_screen
+from oracles import (
+    brute_rank,
+    json_dump_result_to_json,
+    per_candidate_screen,
+    record_loop_result_to_csv,
+)
+
+
+# the per-candidate arrays of a ScreeningResult
+COLUMNS = (
+    "index", "beta_hat", "sigma_hat", "wald", "plik", "fit_status", "iterations",
+    "conditioning_coefficients",
+)
+
+
+def record(result, j):
+    """The CovariateScreenRecord of candidate j."""
+    (rec,) = [r for r in result.records if r.index == j]
+    return rec
 
 
 @pytest.fixture
@@ -39,9 +56,8 @@ def dataset(rng):
 class TestScreen:
     def test_empty_conditioning_is_marginal_screening(self, dataset):
         result = screen(dataset, ConditioningSet())
-        for rec in result.records:
-            marginal = fit(dataset, [rec.index])
-            assert rec.beta_hat == pytest.approx(marginal.coefficients[0], abs=1e-12)
+        for j, beta in zip(result.index, result.beta_hat):
+            assert beta == pytest.approx(fit(dataset, [j]).coefficients[0], abs=1e-12)
 
     def test_duplicate_of_conditioning_column_is_singular(self, rng):
         z = rng.normal(size=(40, 3))
@@ -49,8 +65,8 @@ class TestScreen:
         t = -np.log(rng.uniform(size=40)) / np.exp(z[:, 0])
         ds = SurvivalDataset(t, np.ones(40), z)
         result = assert_matches_oracle(ds, ConditioningSet((1,)))
-        assert result.record(3).fit_status == SINGULAR
-        assert result.record(2).fit_status == CONVERGED
+        assert record(result, 3).fit_status == SINGULAR
+        assert record(result, 2).fit_status == CONVERGED
 
     def test_failed_fits_rank_last(self, rng):
         z = rng.normal(size=(40, 4))
@@ -70,41 +86,41 @@ class TestScreen:
 
             monkeypatch.setattr(cox, "fit_batch", fit_batch_with_bad_variance)
             result = screen(dataset, ConditioningSet((1,)))
-            rec = result.record(3)
+            rec = record(result, 3)
             assert rec.fit_status == SINGULAR
             assert math.isnan(rec.sigma_hat) and math.isnan(rec.wald)
+            assert math.isfinite(rec.beta_hat)  # a converged fit keeps its coefficient
             assert result.rankings["wald"][-1] == 3
 
     def test_records_cover_complement(self, dataset):
         result = screen(dataset, ConditioningSet((2, 4)))
+        assert result.index.tolist() == [1, 3, 5, 6]
         assert [rec.index for rec in result.records] == [1, 3, 5, 6]
-
-    def test_record_lookup(self, dataset):
-        result = screen(dataset, ConditioningSet((2, 4)))
-        assert [result.record(j).index for j in (1, 3, 5, 6)] == [1, 3, 5, 6]
-        for j in (0, 2, 4, 7):
-            with pytest.raises(ValidationError, match=f"no screening record for covariate {j}"):
-                result.record(j)
         for name in ("mple", "wald", "plik"):
             assert sorted(result.rankings[name]) == [1, 3, 5, 6]
+        assert result.conditioning_coefficients.shape == (4, 2)
+        for name in COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result, name)[0] = 0
 
     def test_plik_nonnegative_when_converged(self, dataset):
         result = screen(dataset, ConditioningSet((1,)))
-        for rec in result.records:
-            if rec.fit_status == CONVERGED:
-                assert rec.plik >= -1e-8
+        assert np.all(result.plik[result.fit_status == CONVERGED] >= -1e-8)
 
-    def test_parallel_determinism(self, dataset):
-        serial = screen(dataset, ConditioningSet((1,)), workers=1)
-        parallel = screen(dataset, ConditioningSet((1,)), workers=3)
-        assert serial.records == parallel.records
+    def test_parallel_determinism(self, rng):
+        ds = tied_censored_dataset(rng, 60, 8, 2)  # 7 candidates: three parts for 3 workers
+        serial = screen(ds, ConditioningSet((1,)), workers=1)
+        parallel = screen(ds, ConditioningSet((1,)), workers=3)
+        for name in COLUMNS:
+            got, want = getattr(parallel, name), getattr(serial, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert serial.rankings == parallel.rankings
 
     def test_warm_start_from_null_fit(self, dataset):
         null = fit(dataset, [1])
         result = screen(dataset, ConditioningSet((1,)))
         cold_iters = fit(dataset, [1, 2]).iterations
-        assert result.record(2).iterations <= cold_iters
+        assert record(result, 2).iterations <= cold_iters
         assert result.null_fit.loglik == null.loglik
 
     def test_scale_invariance_of_rankings(self, dataset):
@@ -117,7 +133,7 @@ class TestScreen:
         scaled = screen(scaled_ds, ConditioningSet((1,)))
         assert scaled.rankings["wald"] == base.rankings["wald"]
         assert scaled.rankings["plik"] == base.rankings["plik"]
-        assert scaled.record(3).beta_hat == pytest.approx(base.record(3).beta_hat / 7.0, rel=1e-6)
+        assert scaled.beta_hat[1] == pytest.approx(base.beta_hat[1] / 7.0, rel=1e-6)  # covariate 3
 
     def test_conditioning_too_large_for_events(self, rng):
         ds = random_dataset(rng, 10, 5, censor_upper=0.05)  # few events
@@ -171,7 +187,7 @@ class TestBatchedSweep:
         z[:, 2] = -np.arange(n, dtype=float) / n
         ds = SurvivalDataset(np.sort(rng.uniform(0.1, 5.0, n)), np.ones(n), z)
         result = assert_matches_oracle(ds, ConditioningSet((1,)), FitControl(coefficient_bound=2.0))
-        assert result.record(3).fit_status == SEPARATION
+        assert record(result, 3).fit_status == SEPARATION
         assert result.rankings["wald"][-1] == 3
 
     def test_constant_candidate_column(self, rng):
@@ -179,9 +195,9 @@ class TestBatchedSweep:
         z = ds.covariates.copy()
         z[:, 2] = 3.7
         ds = SurvivalDataset(ds.time, ds.status, z)
-        assert assert_matches_oracle(ds, ConditioningSet((1,))).record(3).fit_status == SINGULAR
+        assert record(assert_matches_oracle(ds, ConditioningSet((1,))), 3).fit_status == SINGULAR
         # alone, its information is rounding noise: beta stays 0 and so does every statistic
-        rec = assert_matches_oracle(ds, ConditioningSet()).record(3)
+        rec = record(assert_matches_oracle(ds, ConditioningSet()), 3)
         assert (rec.beta_hat, rec.wald, rec.plik) == (0.0, 0.0, 0.0)
 
     def test_exactly_q_plus_two_events(self, rng):
@@ -196,12 +212,12 @@ class TestBatchedSweep:
         ds = SurvivalDataset(np.ones(n), (rng.random(n) < 0.6).astype(int), rng.normal(size=(n, 5)))
         for cond in (ConditioningSet(), ConditioningSet((2,)), ConditioningSet((1, 2, 3))):
             result = assert_matches_oracle(ds, cond)
-            assert all(r.fit_status == CONVERGED for r in result.records)
+            assert np.all(result.fit_status == CONVERGED)
 
     def test_max_iterations_one_is_not_converged(self, rng):
         ds = tied_censored_dataset(rng, 60, 6, 8)
         result = assert_matches_oracle(ds, ConditioningSet(), FitControl(max_iterations=1))
-        assert {(r.fit_status, r.iterations) for r in result.records} == {(NOT_CONVERGED, 1)}
+        assert set(zip(result.fit_status.tolist(), result.iterations.tolist())) == {(NOT_CONVERGED, 1)}
 
     @pytest.mark.parametrize("n", [60, 2500])
     def test_candidate_alone_equals_full_sweep(self, rng, n):
@@ -209,11 +225,25 @@ class TestBatchedSweep:
         ds = tied_censored_dataset(rng, n, 20, 2)
         cond = ConditioningSet((1, 2))
         result = screen(ds, cond)
-        control = FitControl()
-        for j in cond.complement(ds.p):
-            (alone,) = _screen_part((ds, cond.indices, [j], control, result.null_fit))
-            full = result.record(j)
-            assert repr(alone) == repr(full)  # repr tells floats apart bit for bit, NaN too
+        assert np.all(result.fit_status == CONVERGED)
+        init = np.append(result.null_fit.coefficients, 0.0)
+        for i, j in enumerate(result.index):
+            alone = cox.fit_batch(ds, cond.indices, [j], FitControl(), init)
+            assert (alone.status[0], alone.iterations[0]) == (CONVERGED, result.iterations[i])
+            coefficients = alone.coefficients[0]
+            want = [
+                coefficients[-1],
+                np.sqrt(alone.variance[0]),
+                alone.loglik[0] - result.null_fit.loglik,
+                *coefficients[:-1],
+            ]
+            got = [
+                result.beta_hat[i],
+                result.sigma_hat[i],
+                result.plik[i],
+                *result.conditioning_coefficients[i],
+            ]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestRank:
@@ -250,7 +280,7 @@ class TestParseConditioning:
 class TestSelection:
     def test_threshold_small_gamma_selects_all(self, dataset):
         result = screen(dataset, ConditioningSet((1,)))
-        all_converged = [r.index for r in result.records if r.fit_status == CONVERGED]
+        all_converged = result.index[result.fit_status == CONVERGED].tolist()
         assert select_by_threshold(result, "mple", 1e-300) == all_converged
 
     def test_threshold_infinite_gamma_empty(self, dataset):
@@ -306,11 +336,10 @@ class TestDefaultConditioning:
         ds = SurvivalDataset(t, np.ones(n), z)
         # brute-force check: covariate 3 has the strongest marginal wald statistic
         result = screen(ds, ConditioningSet(), statistics=("wald",))
-        by_value = max(
-            (r for r in result.records if r.fit_status == CONVERGED), key=lambda r: r.wald
-        )
-        assert default_conditioning(ds).indices == (by_value.index,)
-        assert by_value.index == 3
+        wald = np.where(result.fit_status == CONVERGED, result.wald, np.nan)
+        best = int(result.index[np.nanargmax(wald)])
+        assert default_conditioning(ds).indices == (best,)
+        assert best == 3
 
 
 class TestExports:
@@ -320,7 +349,7 @@ class TestExports:
         result_to_csv(result, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,name,beta_hat,sigma_hat,wald,plik,fit_status"
-        assert len(lines) == 1 + len(result.records)
+        assert len(lines) == 1 + len(result.index)
 
     def test_json_structure(self, dataset, tmp_path):
         result = screen(dataset, ConditioningSet((1,)))
@@ -333,18 +362,17 @@ class TestExports:
         assert set(payload["rankings"]) == {"mple", "wald", "plik"}
 
 
-class TestJSONBytes:
-    """result_to_json writes the bytes of json.dump(payload, indent=1, sort_keys=True)."""
+class _WriterBytes:
+    """A writer against its oracle, byte for byte; subclasses name the pair."""
 
     NAMES = [
-        "a", "caf\u00e9", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u65e5\u672c", "\U0001f600", "z"
+        "a", "caf\u00e9", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u65e5\u672c", "\U0001f600", "z,y"
     ]
 
-    @staticmethod
-    def assert_same_bytes(result, tmp_path):
-        result_to_json(result, tmp_path / "got.json")
-        json_dump_result_to_json(result, tmp_path / "want.json")
-        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    def assert_same_bytes(self, result, tmp_path):
+        self.write(result, tmp_path / "got")
+        self.oracle(result, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
     def dataset_with_failures(self, rng):
         """Column 5 constant (singular given C), column 6 ordered with time (separation)."""
@@ -355,23 +383,47 @@ class TestJSONBytes:
         return SurvivalDataset(ds.time, ds.status, z, self.NAMES)
 
     @pytest.mark.parametrize("cond", [(), (1,), (1, 2, 3)])
-    def test_matches_json_dump(self, rng, tmp_path, cond):
+    def test_matches_oracle(self, rng, tmp_path, cond):
         ds = self.dataset_with_failures(rng)
         result = screen(ds, ConditioningSet(cond), FitControl(coefficient_bound=2.0))
-        assert {r.fit_status for r in result.records} >= {CONVERGED, SEPARATION}
+        assert set(result.fit_status) >= {CONVERGED, SEPARATION}
         self.assert_same_bytes(result, tmp_path)
         self.assert_same_bytes(screen(ds, ConditioningSet(cond), statistics=("wald",)), tmp_path)
 
     def test_infinite_values(self, rng, tmp_path):
         result = screen(self.dataset_with_failures(rng), ConditioningSet((1,)))
-        records = tuple(
-            replace(r, wald=math.inf, plik=-math.inf, beta_hat=-0.0) for r in result.records
+        m = len(result.index)
+        result = replace(
+            result,
+            wald=np.full(m, math.inf),
+            plik=np.full(m, -math.inf),
+            beta_hat=np.full(m, -0.0),
         )
-        self.assert_same_bytes(replace(result, records=records), tmp_path)
+        self.assert_same_bytes(result, tmp_path)
 
-    def test_no_candidates(self, rng, tmp_path):
+    def written_without_candidates(self, rng, tmp_path):
         ds = SurvivalDataset(rng.exponential(size=40), np.ones(40), rng.normal(size=(40, 3)))
         result = screen(ds, ConditioningSet((1, 2, 3)))
-        assert result.records == ()
+        assert result.index.size == 0 and result.records == ()
         self.assert_same_bytes(result, tmp_path)
-        assert '"records": []' in (tmp_path / "got.json").read_text()
+        return (tmp_path / "got").read_text()
+
+
+class TestJSONBytes(_WriterBytes):
+    """result_to_json writes the bytes of json.dump(payload, indent=1, sort_keys=True)."""
+
+    write = staticmethod(result_to_json)
+    oracle = staticmethod(json_dump_result_to_json)
+
+    def test_no_candidates(self, rng, tmp_path):
+        assert '"records": []' in self.written_without_candidates(rng, tmp_path)
+
+
+class TestCSVBytes(_WriterBytes):
+    """result_to_csv writes the bytes of a csv.writer loop over the records."""
+
+    write = staticmethod(result_to_csv)
+    oracle = staticmethod(record_loop_result_to_csv)
+
+    def test_no_candidates(self, rng, tmp_path):
+        assert self.written_without_candidates(rng, tmp_path).count("\n") == 1  # header only

@@ -1,0 +1,120 @@
+"""Run a fixed, seeded matrix of coxscreen CLI calls and keep every output.
+
+Usage:
+
+    PYTHONPATH=src python tools/cli_matrix.py OUTDIR
+
+Every call runs in-process through ``coxscreen.cli.main`` with OUTDIR as the
+working directory, so all paths in the outputs are relative. Each call NAME
+leaves the files it writes (named after NAME) and ``NAME.log``, which holds
+its exit code, stdout and stderr. The script prints one ``NAME exit=CODE``
+line per call.
+
+To check that a change leaves the CLI output byte for byte the same, run the
+script once against each checkout's ``src`` and compare the two directories:
+
+    PYTHONPATH=../parent/src python tools/cli_matrix.py /tmp/before
+    PYTHONPATH=src python tools/cli_matrix.py /tmp/after
+    diff -r /tmp/before /tmp/after
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+import numpy as np
+
+from coxscreen.cli import main
+from coxscreen.data import SurvivalDataset, write_csv
+
+SEED = "7"
+SIZE = ["--n", "60", "--p", "12"]
+
+
+def tied_dataset():
+    """Times rounded to one decimal, a constant column and a column ordered with time."""
+    rng = np.random.default_rng(20261018)
+    n = 60
+    z = rng.normal(size=(n, 6))
+    t = np.round(-np.log(rng.uniform(size=n)) / np.exp(z[:, 0] - 0.5 * z[:, 1]), 1)
+    c = np.round(rng.uniform(0.0, 3.0, size=n), 1)
+    status = (t <= c).astype(int)
+    status[int(np.argmin(t))] = 1
+    time = np.minimum(t, c)
+    z[:, 4] = 3.7
+    z[:, 5] = -time
+    return SurvivalDataset(time, status, z)
+
+
+def small_dataset():
+    """Three covariates, so that C = {1, 2, 3} leaves no candidate."""
+    rng = np.random.default_rng(3)
+    return SurvivalDataset(rng.exponential(size=40), np.ones(40), rng.normal(size=(40, 3)))
+
+
+def calls():
+    """(name, argv) of every call, in the order they run; later calls read earlier outputs."""
+    runs = [
+        (f"simulate-ex{k}", ["simulate", "--example", str(k), *SIZE, "--seed", SEED,
+                             "--out", f"simulate-ex{k}.csv"])
+        for k in (1, 2, 3)
+    ]
+    for data in ("simulate-ex1", "tied"):
+        for cond in ("none", "1", "1,2,3", "auto"):
+            for fmt in ("csv", "json"):
+                name = f"screen-{data}-c{cond.replace(',', '')}-{fmt}"
+                runs.append((name, ["screen", "--input", f"{data}.csv", "--conditioning", cond,
+                                    "--stats", "mple,wald,plik", "--format", fmt,
+                                    "--out", f"{name}.{fmt}"]))
+        for label, extra in (("gamma", ["--gamma", "0.5"]), ("topk", ["--top-k", "3"]),
+                             ("workers2", ["--workers", "2", "--format", "json"])):
+            name = f"screen-{data}-{label}"
+            ext = "json" if label == "workers2" else "csv"
+            runs.append((name, ["screen", "--input", f"{data}.csv", "--conditioning", "1",
+                                "--stats", "wald,mple", *extra, "--out", f"{name}.{ext}"]))
+        runs.append((f"diagnose-{data}", ["diagnose", "--input", f"{data}.csv",
+                                          "--conditioning", "1", "--out", f"diagnose-{data}.csv"]))
+    runs += [
+        ("screen-no-candidates", ["screen", "--input", "small.csv", "--conditioning", "1,2,3",
+                                  "--out", "screen-no-candidates.csv"]),
+        ("screen-topk-zero", ["screen", "--input", "tied.csv", "--top-k", "0",
+                              "--out", "screen-topk-zero.csv"]),
+        ("screen-gamma-nan", ["screen", "--input", "tied.csv", "--gamma", "nan",
+                              "--out", "screen-gamma-nan.csv"]),
+        ("calibrate", ["calibrate", "--example", "2", *SIZE, "--seed", SEED, "--target", "0.3"]),
+    ]
+    for cond in ("1", "auto", "none"):
+        name = f"benchmark-c{cond}"
+        runs.append((name, ["benchmark", "--example", "1", *SIZE, "--replicates", "2",
+                            "--seed", SEED, "--conditioning", cond, "--out", f"{name}.csv"]))
+    return runs
+
+
+def run_matrix(outdir):
+    """Run every call in outdir; returns {name: exit code}."""
+    os.makedirs(outdir, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        write_csv(tied_dataset(), "tied.csv")
+        write_csv(small_dataset(), "small.csv")
+        codes = {}
+        for name, argv in calls():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes[name] = main(argv)
+            with open(f"{name}.log", "w", encoding="utf-8") as fh:
+                fh.write(f"exit={codes[name]}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+        return codes
+    finally:
+        os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    for name, code in run_matrix(sys.argv[1]).items():
+        print(f"{name} exit={code}")
