@@ -122,6 +122,8 @@ def cmd_screen(args):
 
 
 def cmd_simulate(args):
+    if args.replicates < 1:
+        raise ConfigError(f"--replicates must be at least 1, got {args.replicates}")
     config = simulate.with_censor_upper(_sim_config(args))
     base, ext = os.path.splitext(args.out)
     ext = ext or ".csv"
@@ -161,8 +163,6 @@ def cmd_benchmark(args):
 
 
 def cmd_calibrate(args):
-    if args.target is not None and not 0.0 < args.target < 1.0:
-        raise ConfigError(f"calibration target must be in (0, 1), got {args.target}")
     config = _sim_config(args)
     target = args.target if args.target is not None else config.censor_target
     if not 0.0 < target < 1.0:

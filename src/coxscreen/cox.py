@@ -4,11 +4,12 @@ Ties use the Breslow convention: every event at a tied time shares the full
 risk-set denominator. The solver is meant for the small (q+1)-dimensional
 marginal fits of a screening sweep, not for wide models.
 
-``fit`` solves one model. ``fit_batch`` solves the models C + {j} for many
-candidates j at once: it runs the same damped Newton iteration on a chunk of
-candidates together, one row per candidate, and reports a failed fit as a
-status instead of raising. Both share the kernels below, so a candidate gets
-the same numbers from either, and from any chunk it is batched with.
+One damped Newton engine, ``_newton``, fits a stack of models that share
+the columns C and differ in one last column, one row per model, each row with
+its own step length, iteration count and status. ``fit_batch`` runs it on
+C + {j} for a chunk of candidates j at a time and reports a failed fit as a
+status; ``fit`` runs it on a single row and raises instead. A model therefore
+gets the same numbers from either, and from any chunk it is batched with.
 """
 
 from __future__ import annotations
@@ -225,55 +226,33 @@ def fit(
     control: FitControl = FitControl(),
     init=None,
 ) -> CoxFit:
-    """Maximize the partial likelihood over the given columns by damped Newton."""
+    """Maximize the partial likelihood over the given columns by damped Newton.
+
+    This is fit_batch's iteration on a single row; a SEPARATION row raises
+    SeparationError and a SINGULAR row NonIdentifiableError.
+    """
     d = len(columns)
     _check_dimension(dataset, d)
     view = _sorted_view(dataset)
     rows = _rows(view, columns)
     beta = _initial(init, d)
-
-    ll = log_partial_likelihood(dataset, columns, beta)
     if d == 0:
+        ll = log_partial_likelihood(dataset, columns, beta)
         return CoxFit(beta, ll, 0.0, np.zeros((0, 0)), np.zeros(0), 0, True)
 
-    score, info = score_and_information(dataset, columns, beta)
-    iterations = 0
-    for _ in range(control.max_iterations):
-        if np.linalg.norm(score, axis=-1) <= control.score_tolerance:
-            break
-        delta, ok = _newton_steps(info[None], score[None])
-        if not ok[0]:
-            raise NonIdentifiableError("information matrix is not positive definite or is singular")
-        step = 1.0
-        accepted = False
-        for _ in range(control.step_halving_limit):
-            cand = beta + step * delta[0]
-            ll_cand = float(_loglik(view, rows, cand[None])[0])
-            if _accepts(ll_cand, ll):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        beta, ll = cand, ll_cand
-        iterations += 1
-        worst = int(np.argmax(np.abs(beta)))
-        if abs(beta[worst]) > control.coefficient_bound:
-            raise SeparationError(worst)
-        score, info = score_and_information(dataset, columns, beta)
-    score_norm = float(np.linalg.norm(score, axis=-1))
-
-    if _singular_at_solution(info[None])[0]:
-        raise NonIdentifiableError("information matrix is numerically singular at the solution")
-    variances = np.maximum(np.diag(np.linalg.inv(info)), 0.0)
+    beta, ll, score, info, iterations, status = _newton(view, rows[:-1], rows[-1][None], control, beta)
+    if status[0] == SEPARATION:
+        raise SeparationError(int(np.argmax(np.abs(beta[0]))))
+    if status[0] == SINGULAR:
+        raise NonIdentifiableError("information matrix is not positive definite or is singular")
     return CoxFit(
-        coefficients=beta,
-        loglik=ll,
-        score_norm=score_norm,
-        information=info,
-        variances=variances,
-        iterations=iterations,
-        converged=score_norm <= control.score_tolerance,
+        coefficients=beta[0],
+        loglik=float(ll[0]),
+        score_norm=float(np.linalg.norm(score[0], axis=-1)),
+        information=info[0],
+        variances=np.maximum(np.diag(np.linalg.inv(info[0])), 0.0),
+        iterations=int(iterations[0]),
+        converged=status[0] == CONVERGED,
     )
 
 
@@ -284,11 +263,12 @@ def fit_batch(
     control: FitControl = FitControl(),
     init=None,
 ) -> BatchFit:
-    """``fit`` on columns + [j] for every candidate j, a chunk of candidates at a time.
+    """The fits on columns + [j] for every candidate j, a chunk of candidates at a time.
 
-    Each row gets the status, iterations and numbers that ``fit`` gives that
-    model, bit for bit: ``fit``'s SeparationError and NonIdentifiableError
-    become the SEPARATION and SINGULAR statuses. A non-finite score or
+    Every row runs the iteration that ``fit`` runs on its model, so it gets
+    fit's status, iterations and numbers bit for bit, whichever candidates
+    share its chunk: where fit raises SeparationError or NonIdentifiableError
+    the row has the SEPARATION or SINGULAR status. A non-finite score or
     information still raises ValidationError. Memory stays at a fixed number
     of (chunk, n) arrays, a chunk being _CHUNK_ELEMENTS // n candidates or
     _MIN_CHUNK, whichever is more.
@@ -301,14 +281,25 @@ def fit_batch(
     candidates = np.asarray(candidates, dtype=int)
     size = max(_MIN_CHUNK, _CHUNK_ELEMENTS // view.n)
     parts = [
-        _fit_chunk(view, cond_rows, view.rows[candidates[start : start + size] - 1], control, beta)
+        _newton(view, cond_rows, view.rows[candidates[start : start + size] - 1], control, beta)
         for start in range(0, max(len(candidates), 1), size)
     ]
-    return BatchFit(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    beta, ll, _, info, iterations, status = (np.concatenate(arrays) for arrays in zip(*parts))
+    solved = (status == CONVERGED) | (status == NOT_CONVERGED)
+    variance = np.full(len(status), np.nan)
+    variance[solved] = np.maximum(np.linalg.inv(info[solved])[:, -1, -1], 0.0)
+    beta[~solved], ll[~solved], iterations[~solved] = np.nan, np.nan, 0
+    return BatchFit(beta, ll, variance, iterations, status)
 
 
-def _fit_chunk(view, cond_rows, x, control, init):
-    """fit's iteration on the rows [cond_rows..., x[i]] for every i, with per-row masks."""
+def _newton(view, cond_rows, x, control, init):
+    """Damped Newton on the rows [cond_rows..., x[i]] for every i, with per-row masks.
+
+    Returns each row's beta, log likelihood, score, information, iterations
+    and status. A SEPARATION row keeps the beta that crossed the coefficient
+    bound; a row that stopped iterating keeps the score and information at
+    its last beta.
+    """
     m = x.shape[0]
     beta = np.tile(init, (m, 1))
     ll = _loglik(view, cond_rows + [x], beta)
@@ -342,7 +333,7 @@ def _fit_chunk(view, cond_rows, x, control, init):
             if not trying.size:
                 break
             step *= 0.5
-        # a row without an accepted step stops, as fit does
+        # a row without an accepted step stops iterating
         live = live[accepted]
         beta[live], ll[live] = new_beta[accepted], new_ll[accepted]
         iterations[live] += 1
@@ -358,8 +349,4 @@ def _fit_chunk(view, cond_rows, x, control, init):
     converged = np.linalg.norm(score[rest], axis=-1) <= control.score_tolerance
     status[rest[converged]] = CONVERGED
     status[rest[~converged]] = NOT_CONVERGED
-    variance = np.full(m, np.nan)
-    variance[rest] = np.maximum(np.linalg.inv(info[rest])[:, -1, -1], 0.0)
-    failed = (status == SINGULAR) | (status == SEPARATION)
-    beta[failed], ll[failed], iterations[failed] = np.nan, np.nan, 0
-    return beta, ll, variance, iterations, status
+    return beta, ll, score, info, iterations, status

@@ -119,6 +119,9 @@ def screen(
         raise ValidationError(
             f"conditioning set size {conditioning.q} too large for {report.events} events"
         )
+    for j in conditioning.indices:
+        if j in report.constant_columns:
+            raise NonIdentifiableError(f"conditioning column {j} is constant")
 
     null_fit = cox.fit(dataset, conditioning.indices, control)
     if not null_fit.converged:

@@ -3,10 +3,10 @@
 Everything here deliberately avoids the package's optimized code paths:
 risk sets are enumerated directly, derivatives come from finite differences,
 maximization is derivative-free, and the Kaplan-Meier product is a literal
-product over censoring times. The screening sweep's oracle is one plain
-``cox.fit`` per candidate. The CSV reader's oracle parses every cell with
-``float``; the CSV writer's writes one record at a time, and the JSON
-writer's is ``json.dump``. The simulation oracles draw the whole covariate
+product over censoring times. The screening sweep's oracle, and ``cox.fit``'s,
+is ``newton_loop_fit``: one plain Newton loop per model. The CSV reader's
+oracle parses every cell with ``float``; the CSV writer's writes one record at
+a time, and the JSON writer's is ``json.dump``. The simulation oracles draw the whole covariate
 matrix at once, and CRIS's builds an n x n pair matrix per column.
 """
 
@@ -324,11 +324,68 @@ def gauss_elim_inverse(a):
     return aug[:, d:]
 
 
+def newton_loop_fit(dataset, columns, control=cox.FitControl(), init=None):
+    """The damped Newton loop for one model, written without the batched engine.
+
+    Same iteration, checks and exceptions as ``cox.fit``, built from the shared
+    likelihood kernels; ``cox.fit`` must agree with it bit for bit.
+    """
+    d = len(columns)
+    cox._check_dimension(dataset, d)
+    view = cox._sorted_view(dataset)
+    rows = cox._rows(view, columns)
+    beta = cox._initial(init, d)
+
+    ll = cox.log_partial_likelihood(dataset, columns, beta)
+    if d == 0:
+        return cox.CoxFit(beta, ll, 0.0, np.zeros((0, 0)), np.zeros(0), 0, True)
+
+    score, info = cox.score_and_information(dataset, columns, beta)
+    iterations = 0
+    for _ in range(control.max_iterations):
+        if np.linalg.norm(score, axis=-1) <= control.score_tolerance:
+            break
+        delta, ok = cox._newton_steps(info[None], score[None])
+        if not ok[0]:
+            raise NonIdentifiableError("information matrix is not positive definite or is singular")
+        step = 1.0
+        accepted = False
+        for _ in range(control.step_halving_limit):
+            cand = beta + step * delta[0]
+            ll_cand = float(cox._loglik(view, rows, cand[None])[0])
+            if cox._accepts(ll_cand, ll):
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        beta, ll = cand, ll_cand
+        iterations += 1
+        worst = int(np.argmax(np.abs(beta)))
+        if abs(beta[worst]) > control.coefficient_bound:
+            raise SeparationError(worst)
+        score, info = cox.score_and_information(dataset, columns, beta)
+    score_norm = float(np.linalg.norm(score, axis=-1))
+
+    if cox._singular_at_solution(info[None])[0]:
+        raise NonIdentifiableError("information matrix is numerically singular at the solution")
+    variances = np.maximum(np.diag(np.linalg.inv(info)), 0.0)
+    return cox.CoxFit(
+        coefficients=beta,
+        loglik=ll,
+        score_norm=score_norm,
+        information=info,
+        variances=variances,
+        iterations=iterations,
+        converged=score_norm <= control.score_tolerance,
+    )
+
+
 def _fit_one(dataset, columns, control, init, null_loglik):
     j = columns[-1]
     nan = float("nan")
     try:
-        fit_res = cox.fit(dataset, columns, control, init=init)
+        fit_res = newton_loop_fit(dataset, columns, control, init=init)
     except SeparationError:
         return CovariateScreenRecord(j, nan, nan, nan, nan, SEPARATION, 0)
     except NonIdentifiableError:
@@ -353,8 +410,8 @@ def _fit_one(dataset, columns, control, init, null_loglik):
 
 
 def per_candidate_screen(dataset, conditioning, control=cox.FitControl()):
-    """Screening records from one cox.fit per candidate, warm-started from the null fit."""
-    null_fit = cox.fit(dataset, conditioning.indices, control)
+    """Screening records from one newton_loop_fit per candidate, warm-started from the null fit."""
+    null_fit = newton_loop_fit(dataset, conditioning.indices, control)
     init = np.append(null_fit.coefficients, 0.0)
     return [
         _fit_one(dataset, list(conditioning.indices) + [j], control, init, null_fit.loglik)

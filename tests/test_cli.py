@@ -46,6 +46,18 @@ class TestScreenCommand:
         assert main(["screen", "--input", toy_csv, "--top-k", "2", "--out", out]) == 0
         assert len(_read_rows(str(tmp_path / "res_selected.csv"))) == 3
 
+    def test_constant_conditioning_column_is_fit_error(self, rng, tmp_path, capsys):
+        ds = random_dataset(rng, 40, 4, censor_upper=3.0)
+        z = ds.covariates.copy()
+        z[:, 2] = 3.7
+        path = tmp_path / "constant.csv"
+        write_csv(type(ds)(ds.time, ds.status, z), path)
+        out = tmp_path / "res.csv"
+        code = main(["screen", "--input", str(path), "--conditioning", "1,3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error category=fit: conditioning column 3 is constant\n"
+        assert not out.exists()
+
     def test_gamma_and_top_k_exclusive(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
         code = main(
@@ -195,6 +207,24 @@ class TestSimulateCommand:
                      "--seed", "4", "--replicates", "3", "--out", out]) == 0
         assert len(calls) == 1
         assert [(tmp_path / f"sim_r{rid}.csv").read_bytes() for rid in range(3)] == expected
+
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_replicates_below_one_rejected_before_calibration(
+        self, tmp_path, monkeypatch, capsys, replicates
+    ):
+        from coxscreen import simulate
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", no_calibration)
+        code = main(["simulate", "--example", "1", "--n", "20", "--p", "4",
+                     "--replicates", replicates, "--out", str(tmp_path / "sim.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error category=config: --replicates must be at least 1, got {replicates}\n"
+        )
+        assert not os.listdir(tmp_path)
 
     def test_seed_changes_output(self, tmp_path):
         outs = []

@@ -5,7 +5,13 @@ from pathlib import Path
 
 MATRIX = Path(__file__).resolve().parents[1] / "tools" / "cli_matrix.py"
 # the calls that exercise an error exit on purpose
-FAILING = {"screen-topk-zero", "screen-gamma-nan"}
+FAILING = {
+    "screen-topk-zero",
+    "screen-gamma-nan",
+    "screen-constant-c",
+    "screen-separated-c",
+    "simulate-zero-replicates",
+}
 
 
 def test_matrix_exit_codes_and_outputs(tmp_path):

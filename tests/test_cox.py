@@ -24,6 +24,7 @@ from oracles import (
     fd_jacobian,
     gauss_elim_inverse,
     golden_max,
+    newton_loop_fit,
 )
 
 
@@ -111,7 +112,7 @@ class TestScoreAndInformation:
 class TestFit:
     def test_constant_column_nonidentifiable(self):
         ds = SurvivalDataset([1, 2, 3, 4], [1, 1, 1, 0], np.full((4, 1), 2.5))
-        with pytest.raises(NonIdentifiableError):
+        with pytest.raises(NonIdentifiableError, match="^information matrix is not positive definite"):
             fit(ds, [1])
 
     def test_matches_golden_section_1d(self, rng):
@@ -216,6 +217,85 @@ class TestFit:
             walds.append(res.coefficients[0] / math.sqrt(res.variances[0]))
         stat = kstest(walds, "norm").statistic
         assert stat < 0.05
+
+
+def _differential_case(rng):
+    """A small dataset whose columns mix the ways a Newton fit can fail or struggle.
+
+    Each column is normal, constant, a duplicate of column 1, ordered with the
+    time, or normal times 1e4; times are tied or not. Returns the dataset, the
+    columns, a FitControl and an initial beta (None for a cold start).
+    """
+    n, p = int(rng.integers(8, 60)), 4
+    z = rng.normal(size=(n, p))
+    t = -np.log(rng.uniform(size=n)) / np.exp(z[:, 0] - 0.5 * z[:, 1])
+    if rng.random() < 0.5:
+        t = np.round(t, int(rng.integers(0, 3)))
+    c = rng.uniform(0.0, 3.0, size=n)
+    status = (t <= c).astype(int)
+    status[int(np.argmin(t))] = 1
+    time = np.minimum(t, c)
+    for k in range(1, p):
+        kind = rng.integers(5)
+        if kind == 1:
+            z[:, k] = 3.7
+        elif kind == 2:
+            z[:, k] = z[:, 0]
+        elif kind == 3:
+            z[:, k] = -time * rng.choice([-1.0, 1.0])
+        elif kind == 4:
+            z[:, k] *= 1e4
+    ds = SurvivalDataset(time, status, z)
+    d = int(rng.integers(1, 4))
+    columns = [int(j) for j in rng.permutation(p)[:d] + 1]
+    control = [
+        FitControl(),
+        FitControl(max_iterations=int(rng.integers(1, 4))),
+        FitControl(coefficient_bound=2.0),
+    ][rng.integers(3)]
+    # a start far from the maximum makes the full Newton step overshoot, so steps get halved
+    init = None if rng.random() < 0.5 else rng.normal(scale=rng.choice([0.5, 3.0]), size=d)
+    return ds, columns, control, init
+
+
+def _outcome(fit_function, ds, columns, control, init):
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return fit_function(ds, columns, control, init)
+    except (SeparationError, NonIdentifiableError, ValidationError) as err:
+        return err
+
+
+class TestFitMatchesNewtonLoop:
+    """cox.fit, the batched engine on one row, against a plain single-model Newton loop."""
+
+    MERGED = "information matrix is not positive definite or is singular"
+    # the loop's second message; cox.fit gives the merged one for both cases
+    AT_SOLUTION = "information matrix is numerically singular at the solution"
+
+    def test_bit_identical_on_seeded_inputs(self):
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for _ in range(400):
+            ds, columns, control, init = _differential_case(rng)
+            got = _outcome(fit, ds, columns, control, init)
+            want = _outcome(newton_loop_fit, ds, columns, control, init)
+            assert type(got) is type(want)
+            if isinstance(want, Exception):
+                seen.add(str(want) if isinstance(want, NonIdentifiableError) else type(want).__name__)
+                if isinstance(want, SeparationError):
+                    assert got.coordinate == want.coordinate
+                message = self.MERGED if str(want) == self.AT_SOLUTION else str(want)
+                assert str(got) == message
+                continue
+            seen.add("converged" if want.converged else "not converged")
+            for name in ("coefficients", "information", "variances"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            for name in ("loglik", "score_norm", "iterations", "converged"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes()
+        assert seen >= {"converged", "not converged", "SeparationError", self.MERGED, self.AT_SOLUTION}
 
 
 class TestVarianceOfLastCoordinate:

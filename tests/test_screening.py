@@ -8,7 +8,7 @@ import pytest
 from coxscreen import cox
 from coxscreen.cox import FitControl, fit
 from coxscreen.data import ConditioningSet, SurvivalDataset
-from coxscreen.errors import ConfigError, ValidationError
+from coxscreen.errors import ConfigError, NonIdentifiableError, ValidationError
 from coxscreen.screening import (
     AUTO,
     CONVERGED,
@@ -67,6 +67,16 @@ class TestScreen:
         result = assert_matches_oracle(ds, ConditioningSet((1,)))
         assert record(result, 3).fit_status == SINGULAR
         assert record(result, 2).fit_status == CONVERGED
+
+    def test_constant_conditioning_column_rejected(self, rng):
+        # the null fit would see only rounding noise in its information
+        ds = tied_censored_dataset(rng, 60, 4, 2)
+        z = ds.covariates.copy()
+        z[:, 1] = 3.7
+        ds = SurvivalDataset(ds.time, ds.status, z)
+        with pytest.raises(NonIdentifiableError, match="^conditioning column 2 is constant$"):
+            screen(ds, ConditioningSet((1, 2)))
+        assert screen(ds, ConditioningSet((1,))).fit_status[0] == SINGULAR  # as a candidate
 
     def test_failed_fits_rank_last(self, rng):
         z = rng.normal(size=(40, 4))
@@ -145,7 +155,7 @@ class TestScreen:
 
 
 def assert_matches_oracle(dataset, conditioning, control=FitControl()):
-    """screen against one cox.fit per candidate; returns the screen result."""
+    """screen against one newton_loop_fit per candidate; returns the screen result."""
     result = screen(dataset, conditioning, control)
     expected = per_candidate_screen(dataset, conditioning, control)
     assert [r.index for r in result.records] == [r.index for r in expected]
@@ -173,7 +183,7 @@ def tied_censored_dataset(rng, n, p, decimals):
 
 
 class TestBatchedSweep:
-    """The batched Newton sweep against the per-candidate cox.fit loop."""
+    """The batched Newton sweep against newton_loop_fit run per candidate."""
 
     @pytest.mark.parametrize("q", [0, 1, 3])
     def test_matches_per_candidate_oracle(self, rng, q):

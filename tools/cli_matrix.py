@@ -84,6 +84,12 @@ def calls():
                               "--out", "screen-topk-zero.csv"]),
         ("screen-gamma-nan", ["screen", "--input", "tied.csv", "--gamma", "nan",
                               "--out", "screen-gamma-nan.csv"]),
+        ("screen-constant-c", ["screen", "--input", "tied.csv", "--conditioning", "5",
+                               "--out", "screen-constant-c.csv"]),
+        ("screen-separated-c", ["screen", "--input", "tied.csv", "--conditioning", "6",
+                                "--out", "screen-separated-c.csv"]),
+        ("simulate-zero-replicates", ["simulate", "--example", "1", *SIZE, "--seed", SEED,
+                                      "--replicates", "0", "--out", "simulate-zero-replicates.csv"]),
         ("calibrate", ["calibrate", "--example", "2", *SIZE, "--seed", SEED, "--target", "0.3"]),
     ]
     for cond in ("1", "auto", "none"):
