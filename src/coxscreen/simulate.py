@@ -3,6 +3,8 @@
 Survival times follow a Cox model with unit baseline hazard, so given the
 covariates the event time is exponential with rate exp(intercept + beta'Z)
 and can be drawn by exact inverse transform. Censoring times are U[0, c].
+Z is Gaussian, so calibrating c draws the linear predictor straight from its
+law N(intercept, beta' Sigma beta), at a cost that does not grow with p.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 replicate_id, stream), so any replicate is reproducible on its own and
@@ -29,7 +31,6 @@ _CORRELATIONS = (INDEPENDENT, EQUICORRELATED, BLOCK_LAST_INDEPENDENT)
 _STREAM_REPLICATE = 0
 _STREAM_CALIBRATION = 1
 _LP_CLIP = 700.0
-_BLOCK_ELEMENTS = 1 << 20  # uniforms drawn at once by _covariates (8 MB)
 
 
 @dataclass(frozen=True)
@@ -108,35 +109,35 @@ def _standard_normal(rng, shape):
     return ndtri(np.maximum(u, 1e-300))
 
 
-def _covariates(config: SimConfig, rng, rows, columns) -> np.ndarray:
-    """`rows` draws of the configured design, keeping only `columns` (a 0-based index array).
-
-    Every column is drawn, in row blocks of about _BLOCK_ELEMENTS uniforms
-    (at least one row), so the stream is consumed exactly as one (rows, p)
-    draw would consume it and the kept columns are bit-identical to those of
-    the full matrix, while memory stays bounded whatever p is.
-    """
-    p, rho = config.p, config.rho
-    block = max(1, _BLOCK_ELEMENTS // p)
-    eps = np.empty((rows, len(columns)))
-    for start in range(0, rows, block):
-        stop = min(start + block, rows)
-        eps[start:stop] = rng.random((stop - start, p))[:, columns]
-    eps = ndtri(np.maximum(eps, 1e-300))
+def gen_covariates(config: SimConfig, rng) -> np.ndarray:
+    """Rows i.i.d. normal with the configured equal-correlation structure."""
+    n, p, rho = config.n, config.p, config.rho
+    eps = _standard_normal(rng, (n, p))
     if config.correlation == INDEPENDENT or rho == 0.0:
         return eps
-    eta = _standard_normal(rng, (rows, 1))
+    eta = _standard_normal(rng, (n, 1))
     z = np.sqrt(1.0 - rho) * eps + np.sqrt(rho) * eta
     if config.correlation == BLOCK_LAST_INDEPENDENT:
         # first p-1 columns equicorrelated, last column independent
-        last = columns == p - 1
-        z[:, last] = eps[:, last]
+        z[:, -1] = eps[:, -1]
     return z
 
 
-def gen_covariates(config: SimConfig, rng) -> np.ndarray:
-    """Rows i.i.d. normal with the configured equal-correlation structure."""
-    return _covariates(config, rng, config.n, np.arange(config.p))
+def _lp_variance(config: SimConfig) -> float:
+    """Var(beta'Z) = beta' Sigma beta, from the sparse beta in O(|beta|)."""
+    rho = 0.0 if config.correlation == INDEPENDENT else config.rho
+    last = config.p if config.correlation == BLOCK_LAST_INDEPENDENT else None
+    block = np.array([v for j, v in config.beta.items() if j != last], dtype=float)
+    return float((1.0 - rho) * np.sum(block**2) + rho * np.sum(block) ** 2
+                 + config.beta.get(last, 0.0) ** 2)
+
+
+def _event_times(lp, rng):
+    """Exponential times with rate exp(lp), lp clipped at +/-_LP_CLIP; returns (times, clipped)."""
+    clipped = int(np.sum(np.abs(lp) > _LP_CLIP))
+    lp = np.clip(lp, -_LP_CLIP, _LP_CLIP)
+    u = np.maximum(rng.random(lp.shape[0]), 1e-300)
+    return -np.log(u) / np.exp(lp), clipped
 
 
 def gen_survival_times(covariates, beta, intercept, rng):
@@ -145,11 +146,7 @@ def gen_survival_times(covariates, beta, intercept, rng):
     Returns (times, clipped) where clipped counts linear predictors truncated
     at +/-700 to keep exp finite.
     """
-    lp = intercept + covariates @ np.asarray(beta, dtype=float)
-    clipped = int(np.sum(np.abs(lp) > _LP_CLIP))
-    lp = np.clip(lp, -_LP_CLIP, _LP_CLIP)
-    u = np.maximum(rng.random(covariates.shape[0]), 1e-300)
-    return -np.log(u) / np.exp(lp), clipped
+    return _event_times(intercept + covariates @ np.asarray(beta, dtype=float), rng)
 
 
 def calibrate_censoring(config: SimConfig, target=None, replicates=200, tolerance=0.01):
@@ -158,20 +155,21 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
     The censoring proportion P(T > C) is monotone decreasing in c; a fixed
     Monte-Carlo batch of replicates * n subjects is drawn once and reused for
     every candidate, so the search is deterministic given the config seed.
-    The batch draws the same stream as a replicate design of that many rows
-    but keeps only the active columns, so its memory does not grow with p.
-    Returns (c, achieved_rate).
+    The batch draws the linear predictors straight from their normal law, so
+    its time and memory do not grow with p. Returns (c, achieved_rate).
     """
     if target is None:
         target = config.censor_target
     if not 0.0 < target < 1.0:
         raise ValidationError("calibration target must be in (0, 1)")
+    if replicates < 1:
+        raise ValidationError(f"calibration needs replicates >= 1, got {replicates}")
+    if not tolerance >= 0.0:
+        raise ValidationError(f"calibration tolerance must be >= 0, got {tolerance}")
     rng = _rng(config.seed, 0, _STREAM_CALIBRATION)
     batch = replicates * config.n
-    beta = config.dense_beta()
-    active = np.flatnonzero(beta)
-    z = _covariates(config, rng, batch, active)
-    t, _ = gen_survival_times(z, beta[active], config.intercept, rng)
+    lp = config.intercept + np.sqrt(_lp_variance(config)) * _standard_normal(rng, batch)
+    t, _ = _event_times(lp, rng)
     u = rng.random(batch)
 
     def rate(c):

@@ -261,6 +261,18 @@ def linear_predictor_covariance(config):
     return out
 
 
+def dense_covariance(config):
+    """The (p, p) covariance matrix of one row of the configured design."""
+    p, rho = config.p, config.rho
+    if config.correlation == "independent":
+        return np.eye(p)
+    sigma = (1.0 - rho) * np.eye(p) + rho
+    if config.correlation == "block_last_independent":
+        sigma[-1, :] = sigma[:, -1] = 0.0
+        sigma[-1, -1] = 1.0
+    return sigma
+
+
 def lstsq_partial_covariance(z, target, z_cond):
     """Cov(z, target | z_cond), denominator n, from least-squares residuals."""
     n = z.shape[0]

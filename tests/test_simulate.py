@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from coxscreen import simulate
 from coxscreen.cox import fit
@@ -21,6 +22,7 @@ from coxscreen.simulate import (
 )
 
 from oracles import (
+    dense_covariance,
     full_matrix_calibrate_censoring,
     full_matrix_replicate,
     linear_predictor_covariance,
@@ -87,8 +89,10 @@ class TestSurvivalTimes:
 
     def test_extreme_predictor_clipped(self):
         z = np.full((10, 1), 100.0)
-        _, clipped = gen_survival_times(z, [10.0], 0.0, _rng(4, 0, 0))
+        z[5:] = -100.0
+        t, clipped = gen_survival_times(z, [10.0], 0.0, _rng(4, 0, 0))
         assert clipped == 10
+        assert np.all((t > 0) & np.isfinite(t))  # exp(+/-1000) would give times 0 and inf
 
 
 class TestCalibration:
@@ -121,6 +125,21 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             calibrate_censoring(config, 1.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"replicates": 0}, "replicates >= 1, got 0"),
+        ({"replicates": -3}, "replicates >= 1, got -3"),
+        ({"tolerance": -1}, "tolerance must be >= 0, got -1"),
+        ({"tolerance": float("nan")}, "tolerance must be >= 0, got nan"),
+    ])
+    def test_invalid_batch_rejected_before_drawing(self, monkeypatch, kwargs, message):
+        def no_draw(*_args):
+            raise AssertionError("calibration drew before validating its arguments")
+
+        monkeypatch.setattr(simulate, "_rng", no_draw)
+        config = example_config(1, n=50, p=10, seed=1)
+        with pytest.raises(ValidationError, match=message):
+            calibrate_censoring(config, 0.2, **kwargs)
+
 
 def _calibration_configs(tmp_path):
     configs = [
@@ -143,12 +162,58 @@ def _calibration_configs(tmp_path):
     return configs
 
 
+# c of the full-matrix batch (`full_matrix_calibrate_censoring`) at the
+# calibrated configs of tests/test_acceptance.py and of the perfbench
+# `montecarlo` design; keyed by (example, n, p, seed), all at target 0.2.
+_ORACLE_C = {
+    **{(1, n, 1000, 0): "0x1.97ba3c1babe95p+4" for n in (50, 100, 200, 400, 800)},
+    (2, 100, 1000, 0): "0x1.40dd00455b171p+14",
+    (3, 100, 1000, 0): "0x1.40dd00455b171p+14",
+    **{(1, 400, 100, seed): "0x1.97ba3c1babe95p+4" for seed in (1, 2, 3)},
+}
+
+
+def _held_out_rate(config, c, rows=2000, draws=10):
+    """Censoring rate at bound c over draws * rows subjects of the replicate generator."""
+    held_out = replace(config, n=rows, censor_upper=c)
+    return float(np.mean([gen_replicate(held_out, rid).realized_censoring
+                          for rid in range(1, draws + 1)]))
+
+
 class TestCalibrationOracle:
-    def test_bitwise_equal_to_full_matrix_batch(self, tmp_path):
+    def test_lp_variance_equals_dense_quadratic_form(self, tmp_path):
+        for config, _, _ in _calibration_configs(tmp_path):
+            beta = config.dense_beta()
+            expected = beta @ dense_covariance(config) @ beta
+            assert simulate._lp_variance(config) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_linear_predictor_normal(self, example):
+        config = example_config(example, n=20000, p=50, seed=example)
+        z = gen_covariates(config, _rng(config.seed, 5, 0))
+        lp = z @ config.dense_beta() + config.intercept
+        sd = np.sqrt(simulate._lp_variance(config))
+        assert stats.kstest(lp, "norm", args=(config.intercept, sd)).pvalue > 1e-3
+
+    def test_held_out_rate_near_target(self, tmp_path):
+        held_out = 2000 * 10
         for config, target, replicates in _calibration_configs(tmp_path):
-            got = calibrate_censoring(config, target, replicates=replicates)
-            expected = full_matrix_calibrate_censoring(config, target, replicates=replicates)
-            assert [v.hex() for v in got] == [v.hex() for v in expected], (config, target)
+            # both batches miss the true rate at their c by Monte-Carlo error
+            batch = replicates * config.n
+            slack = 0.01 + 4.0 * np.sqrt(target * (1 - target) * (1 / batch + 1 / held_out))
+            rates = {}
+            for calibrate in (calibrate_censoring, full_matrix_calibrate_censoring):
+                c, _ = calibrate(config, target, replicates=replicates)
+                if c not in rates:
+                    rates[c] = _held_out_rate(config, c)
+                assert abs(rates[c] - target) <= slack, (calibrate.__name__, config, target, rates)
+
+    @pytest.mark.parametrize("key", sorted(_ORACLE_C))
+    def test_c_pinned_to_full_matrix_oracle(self, key):
+        example, n, p, seed = key
+        c, achieved = calibrate_censoring(example_config(example, n=n, p=p, seed=seed), 0.2)
+        assert c.hex() == _ORACLE_C[key]
+        assert abs(achieved - 0.2) <= 0.01
 
     def test_memory_does_not_grow_with_p(self):
         # the full (200 n, p) batch alone would take 200 * 20 * 5000 * 8 bytes = 160 MB
@@ -161,20 +226,28 @@ class TestCalibrationOracle:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_draws_and_memory_do_not_grow_with_p(self, monkeypatch):
+        # 200 n predictors, event-time and censoring uniforms: 3 * 200 * 20 draws at p = 10**6
+        config = example_config(1, n=20, p=10**6, seed=2)
+        streams = []
+        monkeypatch.setattr(simulate, "_rng", lambda *key: streams.append(_rng(*key)) or streams[-1])
+        tracemalloc.start()
+        try:
+            calibrate_censoring(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        expected = _rng(config.seed, 0, simulate._STREAM_CALIBRATION)
+        expected.random(3 * 200 * config.n)
+        assert len(streams) == 1
+        assert streams[0].random(4).tobytes() == expected.random(4).tobytes()
+
 
 class TestBlockedCovariates:
     @pytest.mark.parametrize("example", [1, 2, 3])
-    @pytest.mark.parametrize("n, p, block_elements", [
-        (7, 6, None),  # a single partial block
-        (209, 5000, None),  # exactly one block of 2**20 // 5000 = 209 rows
-        (300, 5000, None),  # one full and one partial block
-        (418, 5000, None),  # exactly two blocks
-        (11, 6, 13),  # blocks of 2 rows, the last one partial
-        (5, 6, 1),  # p above the block size: one row per block
-    ])
-    def test_replicate_bitwise_equal_to_full_matrix(self, monkeypatch, example, n, p, block_elements):
-        if block_elements is not None:
-            monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", block_elements)
+    @pytest.mark.parametrize("n, p", [(7, 6), (209, 5000), (300, 5000), (418, 5000), (11, 6), (5, 6)])
+    def test_replicate_bitwise_equal_to_full_matrix(self, example, n, p):
         config = replace(example_config(example, n=n, p=p, seed=example), censor_upper=3.0)
         rep = gen_replicate(config, 2)
         z, time, status = full_matrix_replicate(config, 2)

@@ -91,6 +91,8 @@ def calls():
         ("simulate-zero-replicates", ["simulate", "--example", "1", *SIZE, "--seed", SEED,
                                       "--replicates", "0", "--out", "simulate-zero-replicates.csv"]),
         ("calibrate", ["calibrate", "--example", "2", *SIZE, "--seed", SEED, "--target", "0.3"]),
+        ("calibrate-wide", ["calibrate", "--example", "1", "--n", "20", "--p", "100000",
+                            "--target", "0.2"]),
     ]
     for cond in ("1", "auto", "none"):
         name = f"benchmark-c{cond}"
