@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 from . import benchmark, diagnostics, metrics, screening, simulate
 from .cox import FitControl
@@ -47,22 +48,12 @@ def _parse_stats(text):
 
 
 def _sim_config(args):
-    if getattr(args, "config", None):
-        base = simulate.config_from_kv(args.config)
-        overrides = {}
-        if args.n is not None:
-            overrides["n"] = args.n
-        if args.p is not None:
-            overrides["p"] = args.p
-        if args.censoring is not None:
-            overrides["censor_target"] = args.censoring
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            from dataclasses import replace
-
-            base = replace(base, **overrides)
-        return base
+    if args.example is not None and args.config:
+        raise ConfigError("choose exactly one of --example and --config")
+    if args.config:
+        flags = {"n": args.n, "p": args.p, "censor_target": args.censoring, "seed": args.seed}
+        overrides = {name: value for name, value in flags.items() if value is not None}
+        return replace(simulate.config_from_kv(args.config), **overrides)
     if args.example is None:
         raise ConfigError("either --example or --config is required")
     return simulate.example_config(
@@ -82,6 +73,15 @@ def _write_selected(path, indices, names):
             writer.writerow([j, names[j - 1]])
 
 
+def _dataset_and_conditioning(args):
+    """The --input dataset and the C that --conditioning names on it; an auto C is reported."""
+    dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
+    cond = screening.resolve_conditioning(args.conditioning, dataset)
+    if args.conditioning == screening.AUTO:
+        print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)
+    return dataset, cond
+
+
 def cmd_screen(args):
     if args.gamma is not None and args.top_k is not None:
         raise ConfigError("choose exactly one of --gamma and --top-k")
@@ -89,12 +89,9 @@ def cmd_screen(args):
         raise ConfigError(f"--gamma must be positive, got {args.gamma}")
     if args.top_k is not None and args.top_k < 1:
         raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
-    dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
     stats = _parse_stats(args.stats)
-    cond = screening.resolve_conditioning(args.conditioning, dataset, workers=args.workers)
-    if args.conditioning == screening.AUTO:
-        print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)
-    result = screening.screen(dataset, cond, FitControl(), statistics=stats, workers=args.workers)
+    dataset, cond = _dataset_and_conditioning(args)
+    result = screening.screen(dataset, cond, FitControl(), statistics=stats)
 
     failures = (result.fit_status != screening.CONVERGED).sum()
     print(
@@ -173,8 +170,7 @@ def cmd_calibrate(args):
 
 
 def cmd_diagnose(args):
-    dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
-    cond = screening.resolve_conditioning(args.conditioning, dataset, workers=args.workers)
+    dataset, cond = _dataset_and_conditioning(args)
     candidates = diagnostics.signal_strengths_to_csv(dataset, cond, args.out)
     if not candidates:
         print("warning: conditioning set covers all covariates; nothing to diagnose", file=sys.stderr)
@@ -190,19 +186,22 @@ def _add_sim_flags(parser):
     parser.add_argument("--seed", type=int)
 
 
+def _add_input_flags(parser):
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--time-col", default="time")
+    parser.add_argument("--status-col", default="status")
+    parser.add_argument("--conditioning", default="none")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="coxscreen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_screen = sub.add_parser("screen", help="conditional screening of a CSV dataset")
-    p_screen.add_argument("--input", required=True)
-    p_screen.add_argument("--time-col", default="time")
-    p_screen.add_argument("--status-col", default="status")
-    p_screen.add_argument("--conditioning", default="none")
+    _add_input_flags(p_screen)
     p_screen.add_argument("--stats", default="mple")
     p_screen.add_argument("--gamma", type=float)
     p_screen.add_argument("--top-k", type=int, dest="top_k")
-    p_screen.add_argument("--workers", type=int, default=1)
     p_screen.add_argument("--out", required=True)
     p_screen.add_argument("--format", choices=("csv", "json"), default="csv")
     p_screen.set_defaults(func=cmd_screen)
@@ -232,11 +231,7 @@ def build_parser():
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_diag = sub.add_parser("diagnose", help="conditional signal-strength diagnostic")
-    p_diag.add_argument("--input", required=True)
-    p_diag.add_argument("--time-col", default="time")
-    p_diag.add_argument("--status-col", default="status")
-    p_diag.add_argument("--conditioning", default="none")
-    p_diag.add_argument("--workers", type=int, default=1)
+    _add_input_flags(p_diag)
     p_diag.add_argument("--out", required=True)
     p_diag.set_defaults(func=cmd_diagnose)
     return parser

@@ -14,9 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -107,9 +105,11 @@ def screen(
 ) -> ScreeningResult:
     """Fit every (q+1)-dimensional marginal model and rank the candidates.
 
-    The result is identical for any worker count: rows are assembled by
-    covariate index, never by completion order.
+    All candidates run in one in-process ``cox.fit_batch`` call. ``workers`` is
+    not a setting: it accepts only 1, so existing ``workers=1`` calls still run.
     """
+    if workers != 1:
+        raise ValidationError(f"screen runs in one process; workers must be 1, got {workers!r}")
     report = validate(dataset)
     conditioning.check_against(dataset)
     for name in statistics:
@@ -128,16 +128,10 @@ def screen(
         raise NonIdentifiableError("null model on the conditioning set did not converge")
 
     candidates = np.array(conditioning.complement(dataset.p), dtype=int)
-    cond, init = conditioning.indices, np.append(null_fit.coefficients, 0.0)
-    if workers <= 1 or len(candidates) < 2 * workers:
-        parts = [cox.fit_batch(dataset, cond, candidates, control, init)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(cox.fit_batch, repeat(dataset), repeat(cond),
-                                  np.array_split(candidates, workers), repeat(control), repeat(init)))
-    coefficients, loglik, variance, iterations, status = (
-        np.concatenate(arrays) for arrays in zip(*(vars(part).values() for part in parts))
+    batch = cox.fit_batch(
+        dataset, conditioning.indices, candidates, control, np.append(null_fit.coefficients, 0.0)
     )
+    coefficients, variance, status = batch.coefficients, batch.variance, batch.status
     fitted = status == CONVERGED
     singular = fitted & ~(np.isfinite(variance) & (variance > 0))
     converged = fitted & ~singular
@@ -150,9 +144,9 @@ def screen(
         beta_hat=beta,
         sigma_hat=sigma,
         wald=np.abs(beta) / sigma,
-        plik=np.where(converged, loglik - null_fit.loglik, np.nan),
+        plik=np.where(converged, batch.loglik - null_fit.loglik, np.nan),
         fit_status=np.where(singular, SINGULAR, status.astype(str)),
-        iterations=iterations,
+        iterations=batch.iterations,
         conditioning_coefficients=np.where(converged[:, None], coefficients[:, :-1], np.nan),
         rankings={},
         covariate_names=list(dataset.covariate_names),
@@ -193,10 +187,10 @@ def top_marginal_wald(marginal: ScreeningResult) -> ConditioningSet:
 
 
 def default_conditioning(
-    dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl(), workers: int = 1
+    dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl()
 ) -> ConditioningSet:
     """Single conditioning variable: the top covariate of a marginal Wald screen."""
-    marginal = screen(dataset, ConditioningSet(), control, statistics=("wald",), workers=workers)
+    marginal = screen(dataset, ConditioningSet(), control, statistics=("wald",))
     return top_marginal_wald(marginal)
 
 
@@ -224,12 +218,12 @@ def parse_conditioning(spec):
 
 
 def resolve_conditioning(
-    spec, dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl(), workers: int = 1
+    spec, dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl()
 ) -> ConditioningSet:
     """The ConditioningSet a spec names on this dataset; 'auto' runs default_conditioning."""
     cond = parse_conditioning(spec)
     if cond == AUTO:
-        return default_conditioning(dataset, control, workers)
+        return default_conditioning(dataset, control)
     return cond
 
 

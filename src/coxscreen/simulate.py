@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import SurvivalDataset
 from .errors import CalibrationError, ValidationError
@@ -105,6 +104,8 @@ def _rng(seed, replicate_id, stream):
 
 
 def _standard_normal(rng, shape):
+    from scipy.special import ndtri  # imported here: scipy.special doubles the package's import time
+
     u = rng.random(shape)
     return ndtri(np.maximum(u, 1e-300))
 

@@ -23,6 +23,39 @@ def _read_rows(path):
         return list(csv.reader(fh))
 
 
+@pytest.mark.parametrize("command", ["screen", "diagnose"])
+def test_workers_flag_rejected(toy_csv, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", toy_csv, "--workers", "2", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["toy.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("simulate", ["--out", "sim.csv"]), ("benchmark", ["--replicates", "1", "--out", "bench.csv"]),
+     ("calibrate", [])],
+    ids=["simulate", "benchmark", "calibrate"],
+)
+def test_example_and_config_together_rejected(tmp_path, monkeypatch, capsys, command, extra):
+    from coxscreen import simulate
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(simulate, "calibrate_censoring", no_calibration)
+    cfg = tmp_path / "ex2.kv"
+    simulate.config_to_kv(simulate.example_config(2, n=20, p=4, censor_target=0.2, seed=3), cfg)
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--example", "1", "--config", str(cfg), *extra])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error category=config: choose exactly one of --example and --config\n"
+    )
+    assert os.listdir(tmp_path) == ["ex2.kv"]
+
+
 class TestScreenCommand:
     def test_conditional_screen_writes_records_and_selection(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
@@ -106,15 +139,6 @@ class TestScreenCommand:
         assert code == 0
         payload = json.loads(open(out).read())
         assert payload["conditioning"] == [1]
-
-    def test_json_output_same_for_any_worker_count(self, toy_csv, tmp_path):
-        outs = []
-        for workers in ("1", "2"):
-            out = str(tmp_path / f"w{workers}.json")
-            assert main(["screen", "--input", toy_csv, "--conditioning", "1", "--format", "json",
-                         "--workers", workers, "--out", out]) == 0
-            outs.append(open(out, "rb").read())
-        assert outs[0] == outs[1]
 
     def test_missing_input_io_error(self, tmp_path, capsys):
         code = main(["screen", "--input", str(tmp_path / "nope.csv"), "--out", "x.csv"])
@@ -352,6 +376,16 @@ class TestDiagnoseCommand:
         assert code == 0
         assert "nothing to diagnose" in capsys.readouterr().err
         assert len(_read_rows(out)) == 1  # header only
+
+    def test_auto_conditioning_reported(self, toy_csv, tmp_path, capsys):
+        from coxscreen.data import read_csv
+        from coxscreen.screening import default_conditioning
+
+        (j,) = default_conditioning(read_csv(toy_csv)).indices
+        out = str(tmp_path / "diag.csv")
+        assert main(["diagnose", "--input", toy_csv, "--conditioning", "auto", "--out", out]) == 0
+        assert capsys.readouterr().err == f"conditioning=auto selected C=[{j}]\n"
+        assert [r[0] for r in _read_rows(out)[1:]] == [str(k) for k in range(1, 6) if k != j]
 
     def test_bad_conditioning_spec(self, toy_csv, tmp_path, capsys):
         code = main(["diagnose", "--input", toy_csv, "--conditioning", "1;2",

@@ -11,6 +11,7 @@ FAILING = {
     "screen-constant-c",
     "screen-separated-c",
     "simulate-zero-replicates",
+    "benchmark-example-and-config",
 }
 
 

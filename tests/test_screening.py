@@ -117,14 +117,17 @@ class TestScreen:
         result = screen(dataset, ConditioningSet((1,)))
         assert np.all(result.plik[result.fit_status == CONVERGED] >= -1e-8)
 
-    def test_parallel_determinism(self, rng):
-        ds = tied_censored_dataset(rng, 60, 8, 2)  # 7 candidates: three parts for 3 workers
-        serial = screen(ds, ConditioningSet((1,)), workers=1)
-        parallel = screen(ds, ConditioningSet((1,)), workers=3)
+    def test_workers_accepts_only_one(self, rng):
+        ds = tied_censored_dataset(rng, 60, 8, 2)
+        default = screen(ds, ConditioningSet((1,)))
+        explicit = screen(ds, ConditioningSet((1,)), workers=1)
         for name in COLUMNS:
-            got, want = getattr(parallel, name), getattr(serial, name)
+            got, want = getattr(explicit, name), getattr(default, name)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        assert serial.rankings == parallel.rankings
+        assert explicit.rankings == default.rankings
+        for workers in (0, 2):
+            with pytest.raises(ValidationError, match="workers must be 1"):
+                screen(ds, ConditioningSet((1,)), workers=workers)
 
     def test_warm_start_from_null_fit(self, dataset):
         null = fit(dataset, [1])

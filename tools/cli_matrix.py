@@ -29,6 +29,7 @@ import numpy as np
 
 from coxscreen.cli import main
 from coxscreen.data import SurvivalDataset, write_csv
+from coxscreen.simulate import config_to_kv, example_config
 
 SEED = "7"
 SIZE = ["--n", "60", "--p", "12"]
@@ -69,14 +70,14 @@ def calls():
                 runs.append((name, ["screen", "--input", f"{data}.csv", "--conditioning", cond,
                                     "--stats", "mple,wald,plik", "--format", fmt,
                                     "--out", f"{name}.{fmt}"]))
-        for label, extra in (("gamma", ["--gamma", "0.5"]), ("topk", ["--top-k", "3"]),
-                             ("workers2", ["--workers", "2", "--format", "json"])):
+        for label, extra in (("gamma", ["--gamma", "0.5"]), ("topk", ["--top-k", "3"])):
             name = f"screen-{data}-{label}"
-            ext = "json" if label == "workers2" else "csv"
             runs.append((name, ["screen", "--input", f"{data}.csv", "--conditioning", "1",
-                                "--stats", "wald,mple", *extra, "--out", f"{name}.{ext}"]))
-        runs.append((f"diagnose-{data}", ["diagnose", "--input", f"{data}.csv",
-                                          "--conditioning", "1", "--out", f"diagnose-{data}.csv"]))
+                                "--stats", "wald,mple", *extra, "--out", f"{name}.csv"]))
+        for cond in ("1", "auto"):
+            name = f"diagnose-{data}" + ("-auto" if cond == "auto" else "")
+            runs.append((name, ["diagnose", "--input", f"{data}.csv", "--conditioning", cond,
+                                "--out", f"{name}.csv"]))
     runs += [
         ("screen-no-candidates", ["screen", "--input", "small.csv", "--conditioning", "1,2,3",
                                   "--out", "screen-no-candidates.csv"]),
@@ -91,6 +92,9 @@ def calls():
         ("simulate-zero-replicates", ["simulate", "--example", "1", *SIZE, "--seed", SEED,
                                       "--replicates", "0", "--out", "simulate-zero-replicates.csv"]),
         ("calibrate", ["calibrate", "--example", "2", *SIZE, "--seed", SEED, "--target", "0.3"]),
+        ("benchmark-example-and-config", ["benchmark", "--example", "1", "--config", "ex2.kv",
+                                          "--replicates", "1",
+                                          "--out", "benchmark-example-and-config.csv"]),
         ("calibrate-wide", ["calibrate", "--example", "1", "--n", "20", "--p", "100000",
                             "--target", "0.2"]),
     ]
@@ -109,6 +113,7 @@ def run_matrix(outdir):
     try:
         write_csv(tied_dataset(), "tied.csv")
         write_csv(small_dataset(), "small.csv")
+        config_to_kv(example_config(2, n=60, p=12, censor_target=0.2, seed=int(SEED)), "ex2.kv")
         codes = {}
         for name, argv in calls():
             out, err = io.StringIO(), io.StringIO()
