@@ -88,6 +88,23 @@ def cors(dataset: SurvivalDataset) -> BaselineResult:
     return _column_result(CORS, np.where(degenerate, 0.0, np.minimum(r, 1.0)), degenerate)
 
 
+def _dense_ranks(x):
+    """Per-column dense ranks of x, 0 for each column's smallest value.
+
+    Equal values, 0.0 and -0.0 among them, share a rank, so a difference of
+    ranks has the sign of the difference of values. The ranks are int16 when
+    n <= 2**15, which also holds any sum of n - 1 signs, and int32 otherwise.
+    """
+    dtype = np.int16 if x.shape[0] <= 1 << 15 else np.int32
+    order = np.argsort(x, axis=0)
+    ordered = np.take_along_axis(x, order, axis=0)
+    steps = np.zeros(x.shape, dtype=dtype)
+    steps[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty(x.shape, dtype=dtype)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0, dtype=dtype), axis=0)
+    return ranks
+
+
 def cris(dataset: SurvivalDataset) -> BaselineResult:
     """IPW-weighted concordance rank statistic per covariate.
 
@@ -99,13 +116,16 @@ def cris(dataset: SurvivalDataset) -> BaselineResult:
 
     One pass over the events serves every column: with the rows sorted by
     descending follow-up time, the rows later than event i are a prefix of
-    that order, compared with row i in all columns at once.
+    that order, compared with row i in all columns at once. The comparison
+    runs on the columns' dense ranks, and the sign counts are summed as
+    integers for each distinct weight before that weight scales them.
     """
     w = ipw_weights(dataset)
     time, x = dataset.time, dataset.covariates
     order = np.argsort(-time)
-    x_desc = x[order]
-    # later[i] = #{k : X_k > X_i}, the length of row i's prefix in x_desc
+    ranks = _dense_ranks(x)
+    ranks_desc = ranks[order]
+    # later[i] = #{k : X_k > X_i}, the length of row i's prefix in ranks_desc
     later = np.searchsorted(-time[order], -time, side="left")
     total = w @ later
     if total <= 0:
@@ -114,7 +134,9 @@ def cris(dataset: SurvivalDataset) -> BaselineResult:
     num = np.zeros(dataset.p)
     # scale the exact sign counts once per distinct weight, so equal counts give equal sums
     for weight in np.unique(w[events]):
-        group = events[w[events] == weight]
-        num += weight * sum(np.sign(x_desc[: later[i]] - x[i]).sum(axis=0) for i in group)
+        counts = np.zeros(dataset.p, dtype=np.int64)
+        for i in events[w[events] == weight]:
+            counts += np.sign(ranks_desc[: later[i]] - ranks[i]).sum(axis=0, dtype=ranks.dtype)
+        num += weight * counts
     degenerate = x.max(axis=0) == x.min(axis=0)
     return _column_result(CRIS, np.minimum(np.abs(num) / total, 1.0), degenerate)

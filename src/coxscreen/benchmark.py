@@ -71,11 +71,13 @@ def run_benchmark(
             raise ValidationError(f"unknown method '{m}'; choose from {ALL_METHODS}")
     if replicates < 1:
         raise ValidationError("need at least 1 replicate")
+    if workers < 1:
+        raise ValidationError(f"need at least 1 worker, got {workers}")
     conditioning = screening.parse_conditioning(conditioning)
     config = simulate.with_censor_upper(config)
 
     jobs = [(config, rid, methods, conditioning, control) for rid in range(replicates)]
-    if workers <= 1:
+    if workers == 1:
         per_rep = [run_replicate(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -137,6 +137,8 @@ def cmd_simulate(args):
 
 
 def cmd_benchmark(args):
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = _sim_config(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     scores, summaries = benchmark.run_benchmark(

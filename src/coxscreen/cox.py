@@ -107,31 +107,41 @@ def _rows(view: _SortedView, columns):
     return [view.rows[int(j) - 1] for j in columns]
 
 
-def _centred_weights(view: _SortedView, rows, beta):
-    """eta - max(eta) and its exponential, one row per row of beta.
+def _weights(view: _SortedView, rows, beta):
+    """eta - max(eta), its exponential w and the risk-set sums s0 of w at the events.
 
-    rows holds one (n,) or (m, n) array per coefficient. eta is summed
-    column by column, so each row's value does not depend on the batch.
+    One row per row of beta; rows holds one (n,) or (m, n) array per
+    coefficient. eta is summed column by column, so each row's value does not
+    depend on the batch.
     """
     eta = np.zeros((beta.shape[0], view.n))
     for k, row in enumerate(rows):
         eta += row * beta[:, k, None]
     eta -= eta.max(axis=1, keepdims=True)
-    return eta, np.exp(eta)
+    w = np.exp(eta)
+    return eta, w, np.cumsum(w, axis=1).take(view.event_groups, axis=1)
+
+
+def _loglik_at(view: _SortedView, eta, s0):
+    """Log partial likelihood of each row of _weights; not finite where it overflows."""
+    return np.sum(eta.take(view.event_pos, axis=1) - np.log(s0), axis=1)
 
 
 def _loglik(view: _SortedView, rows, beta):
     """Log partial likelihood at each row of beta; not finite where it overflows."""
-    eta, w = _centred_weights(view, rows, beta)
-    s0 = np.cumsum(w, axis=1).take(view.event_groups, axis=1)
-    return np.sum(eta.take(view.event_pos, axis=1) - np.log(s0), axis=1)
+    eta, _, s0 = _weights(view, rows, beta)
+    return _loglik_at(view, eta, s0)
 
 
-def _score_info(view: _SortedView, rows, beta):
-    """Score vectors (m, d) and observed information matrices (m, d, d) at each row of beta."""
-    m, d = beta.shape
-    _, w = _centred_weights(view, rows, beta)
-    s0 = np.cumsum(w, axis=1).take(view.event_groups, axis=1)
+def _score_info(view: _SortedView, rows, w, s0):
+    """Score vectors (m, d) and observed information matrices (m, d, d) from _weights' w and s0.
+
+    rows are (n,) arrays, the last one may be an (m, n) block. w and s0 may
+    be a single (1, ...) row shared by every model: the sums that involve only
+    (n,) rows are then taken once and broadcast.
+    """
+    m = len(rows[-1]) if rows and rows[-1].ndim == 2 else len(w)
+    d = len(rows)
     weighted = [w * row for row in rows]
     means = [np.cumsum(wz, axis=1).take(view.event_groups, axis=1) / s0 for wz in weighted]
     score = np.empty((m, d))
@@ -202,7 +212,9 @@ def score_and_information(dataset: SurvivalDataset, columns, beta):
     if beta.shape[0] != len(columns):
         raise ValidationError("beta length must match the number of columns")
     view = _sorted_view(dataset)
-    score, info = _score_info(view, _rows(view, columns), beta[None])
+    rows = _rows(view, columns)
+    _, w, s0 = _weights(view, rows, beta[None])
+    score, info = _score_info(view, rows, w, s0)
     return score[0], info[0]
 
 
@@ -299,13 +311,24 @@ def _newton(view, cond_rows, x, control, init):
     and status. A SEPARATION row keeps the beta that crossed the coefficient
     bound; a row that stopped iterating keeps the score and information at
     its last beta.
+
+    Each trial step evaluates the weights once, and the rows that take it
+    reuse them for their score and information. When init's last
+    coefficient is 0 every row starts at the same linear predictor, so the
+    start is evaluated on one shared row.
     """
     m = x.shape[0]
     beta = np.tile(init, (m, 1))
-    ll = _loglik(view, cond_rows + [x], beta)
+    if init[-1] == 0:
+        # x * 0 is a signed zero, which leaves the C-only sum (never -0.0: it starts at +0.0)
+        # as it is, so this row is every row's eta bit for bit
+        eta, w, s0 = _weights(view, cond_rows, init[None, :-1])
+    else:
+        eta, w, s0 = _weights(view, cond_rows + [x], beta)
+    ll = np.broadcast_to(_loglik_at(view, eta, s0), (m,)).copy()
     if not np.all(np.isfinite(ll)):
         raise ValidationError("non-finite log partial likelihood")
-    score, info = _score_info(view, cond_rows + [x], beta)
+    score, info = _score_info(view, cond_rows + [x], w, s0)
     iterations = np.zeros(m, dtype=int)
     status = np.full(m, "", dtype=object)  # set at failure, else at the end
     live = np.arange(m)  # rows still iterating
@@ -319,16 +342,25 @@ def _newton(view, cond_rows, x, control, init):
 
         # halve every row's step together until its log likelihood does not drop
         new_beta, new_ll = np.empty_like(delta), np.empty(live.size)
+        new_w = new_s0 = None  # the accepted rows' weights, in the order of live
         accepted = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)
         step = 1.0
         for _ in range(control.step_halving_limit):
             idx = live[trying]
             cand = beta[idx] + step * delta[trying]
-            ll_cand = _loglik(view, cond_rows + [x[idx]], cand)
+            eta, w, s0 = _weights(view, cond_rows + [x[idx]], cand)
+            ll_cand = _loglik_at(view, eta, s0)
             good = _accepts(ll_cand, ll[idx])
-            new_beta[trying[good]], new_ll[trying[good]] = cand[good], ll_cand[good]
-            accepted[trying[good]] = True
+            took = trying[good]
+            if new_w is None and good.all():
+                new_w, new_s0 = w, s0  # every row took this step: the usual case, no copy
+            elif took.size:
+                if new_w is None:
+                    new_w, new_s0 = np.empty((live.size, view.n)), np.empty((live.size, s0.shape[1]))
+                new_w[took], new_s0[took] = w[good], s0[good]
+            new_beta[took], new_ll[took] = cand[good], ll_cand[good]
+            accepted[took] = True
             trying = trying[~good]
             if not trying.size:
                 break
@@ -340,7 +372,11 @@ def _newton(view, cond_rows, x, control, init):
         separated = np.abs(beta[live]).max(axis=1) > control.coefficient_bound
         status[live[separated]] = SEPARATION
         live = live[~separated]
-        score[live], info[live] = _score_info(view, cond_rows + [x[live]], beta[live])
+        if live.size:
+            keep = np.flatnonzero(accepted)[~separated]  # live's rows of new_w
+            if keep.size < new_w.shape[0]:
+                new_w, new_s0 = new_w[keep], new_s0[keep]
+            score[live], info[live] = _score_info(view, cond_rows + [x[live]], new_w, new_s0)
 
     rest = np.nonzero(status == "")[0]
     singular = _singular_at_solution(info[rest])

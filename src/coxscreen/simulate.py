@@ -250,6 +250,26 @@ def config_to_kv(config: SimConfig, path):
         fh.write(f"seed={config.seed}\n")
 
 
+# the SimConfig fields a kv file sets, with their types; beta.<j>=<value> lines set beta
+_KV_FIELDS = {
+    "n": int,
+    "p": int,
+    "intercept": float,
+    "correlation": str,
+    "rho": float,
+    "censor_target": float,
+    "censor_upper": float,
+    "seed": int,
+}
+
+
+def _kv_value(path, line_num, key, text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{path}:{line_num}: {key}: expected {kind.__name__}, got '{text}'") from None
+
+
 def config_from_kv(path) -> SimConfig:
     fields = {}
     beta = {}
@@ -263,20 +283,11 @@ def config_from_kv(path) -> SimConfig:
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
             if key.startswith("beta."):
-                beta[int(key[5:])] = float(value)
-            else:
-                fields[key] = value
-    try:
-        return SimConfig(
-            n=int(fields["n"]),
-            p=int(fields["p"]),
-            beta=beta,
-            intercept=float(fields.get("intercept", "0.0")),
-            correlation=fields.get("correlation", INDEPENDENT),
-            rho=float(fields.get("rho", "0.0")),
-            censor_target=float(fields.get("censor_target", "0.0")),
-            censor_upper=float(fields["censor_upper"]) if "censor_upper" in fields else None,
-            seed=int(fields.get("seed", "0")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing required key {exc}") from None
+                j = _kv_value(path, line_num, key, key[5:], int)
+                beta[j] = _kv_value(path, line_num, key, value, float)
+            elif key in _KV_FIELDS:
+                fields[key] = _kv_value(path, line_num, key, value, _KV_FIELDS[key])
+    for key in ("n", "p"):
+        if key not in fields:
+            raise ValidationError(f"{path}: missing required key '{key}'")
+    return SimConfig(beta=beta, **fields)

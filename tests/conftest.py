@@ -27,6 +27,16 @@ def random_dataset(rng, n, p, beta=None, censor_upper=None):
     return SurvivalDataset(x, status, z)
 
 
+def tied_censored_dataset(rng, n, p, decimals):
+    """Times rounded to `decimals` places, so ties are common, and columns of mixed scale."""
+    z = rng.normal(size=(n, p)) * rng.choice([0.3, 1.0, 3.0], size=p)
+    t = np.round(-np.log(rng.uniform(size=n)) / np.exp(z[:, 0] - 0.5 * z[:, 1]), decimals)
+    c = np.round(rng.uniform(0.0, 3.0, size=n), decimals)
+    status = (t <= c).astype(int)
+    status[int(np.argmin(t))] = 1
+    return SurvivalDataset(np.maximum(np.minimum(t, c), 0.0), status, z)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

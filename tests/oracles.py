@@ -7,7 +7,9 @@ product over censoring times. The screening sweep's oracle, and ``cox.fit``'s,
 is ``newton_loop_fit``: one plain Newton loop per model. The CSV reader's
 oracle parses every cell with ``float``; the CSV writer's writes one record at
 a time, and the JSON writer's is ``json.dump``. The simulation oracles draw the whole covariate
-matrix at once, and CRIS's builds an n x n pair matrix per column.
+matrix at once, and CRIS's builds an n x n pair matrix per column; ``cris``'s
+integer-rank kernel is also held to ``float_sign_cris``, the float-sign kernel
+it replaced, bit for bit.
 """
 
 import csv
@@ -607,3 +609,25 @@ def per_column_cris(dataset):
         values[j] = min(2.0 * abs(np.sum(pair_w * conc)) / total, 1.0)
     ranking = rank(np.arange(1, dataset.p + 1), values)
     return BaselineResult(CRIS, values, ranking, tuple(int(j) + 1 for j in np.flatnonzero(degenerate)))
+
+
+def float_sign_cris(dataset):
+    """CRIS statistics from the float-sign one-pass kernel: sign(Z_kj - Z_ij) on the raw columns.
+
+    The same pass over the events and the same per-weight grouping as ``cris``,
+    with the sign counts taken as float64 and summed as floats.
+    """
+    w = ipw_weights(dataset)
+    time, x = dataset.time, dataset.covariates
+    order = np.argsort(-time)
+    x_desc = x[order]
+    later = np.searchsorted(-time[order], -time, side="left")
+    total = w @ later
+    if total <= 0:
+        raise ValidationError("no comparable pairs for the rank statistic")
+    events = np.flatnonzero(w * later)
+    num = np.zeros(dataset.p)
+    for weight in np.unique(w[events]):
+        group = events[w[events] == weight]
+        num += weight * sum(np.sign(x_desc[: later[i]] - x[i]).sum(axis=0) for i in group)
+    return np.minimum(np.abs(num) / total, 1.0)

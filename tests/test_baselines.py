@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxscreen.baselines import KM_FLOOR, cors, cris, ipw_weights, psis
+from coxscreen import simulate
+from coxscreen.baselines import KM_FLOOR, _dense_ranks, cors, cris, ipw_weights, psis
 from coxscreen.data import ConditioningSet, SurvivalDataset
 from coxscreen.errors import ValidationError
 from coxscreen.screening import CONVERGED, screen
@@ -12,6 +13,7 @@ from conftest import random_dataset
 from oracles import (
     brute_censoring_km_left,
     brute_cris,
+    float_sign_cris,
     km_loop_ipw_weights,
     per_column_cors,
     per_column_cris,
@@ -265,11 +267,48 @@ class TestCRISOracle:
         brute = [brute_cris(ds.time, ds.status, ds.covariates[:, j], w) for j in range(ds.p)]
         np.testing.assert_allclose(result.statistics, brute, rtol=1e-14, atol=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cris_datasets())
+    def test_bit_identical_to_float_sign_kernel(self, ds):
+        try:
+            expected = float_sign_cris(ds)
+        except ValidationError:
+            return  # test_matches_per_column_and_pair_enumeration checks the error
+        assert np.array_equal(cris(ds).statistics, expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_float_sign_kernel_on_montecarlo_design(self, seed):
+        config = simulate.with_censor_upper(simulate.example_config(1, n=400, p=100, seed=seed))
+        ds = simulate.gen_replicate(config, 0).dataset
+        assert np.array_equal(cris(ds).statistics, float_sign_cris(ds))
+
     def test_no_comparable_pairs(self):
         # every event is at the last follow-up time, so no event has a later row
         ds = SurvivalDataset([1.0, 2.0, 3.0, 3.0], [0, 0, 1, 1], np.arange(8.0).reshape(4, 2))
         with pytest.raises(ValidationError, match="no comparable pairs"):
             cris(ds)
+
+
+class TestDenseRanks:
+    def test_ties_and_signed_zeros_share_a_rank(self):
+        x = np.array([[2.5, 0.0], [-1.0, -0.0], [2.5, 1.0], [0.0, -0.0], [-0.0, -2.0]])
+        ranks = _dense_ranks(x)
+        assert ranks.dtype == np.int16
+        assert ranks.tolist() == [[2, 1], [0, 1], [2, 2], [1, 1], [1, 0]]
+
+    def test_rank_differences_have_the_sign_of_value_differences(self, rng):
+        x = np.round(rng.normal(size=(40, 3)), 1)
+        x[::7, 1] = -0.0
+        ranks = _dense_ranks(x).astype(int)
+        assert np.array_equal(np.sign(ranks[:, None] - ranks[None]), np.sign(x[:, None] - x[None]))
+
+    def test_int32_above_two_to_the_fifteen_rows(self):
+        n = (1 << 15) + 1
+        x = np.arange(n, dtype=float)[::-1, None] * 0.5
+        ranks = _dense_ranks(x)
+        assert ranks.dtype == np.int32
+        assert np.array_equal(ranks[:, 0], np.arange(n)[::-1])
+        assert _dense_ranks(x[1:]).dtype == np.int16
 
 
 class TestRankings:

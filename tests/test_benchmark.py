@@ -7,6 +7,7 @@ from coxscreen.baselines import PSIS_PLIK, PSIS_WALD
 from coxscreen.benchmark import ALL_METHODS, CS_METHODS, _score, run_benchmark, run_replicate
 from coxscreen.cox import FitControl
 from coxscreen.data import ConditioningSet
+from coxscreen.errors import ValidationError
 from coxscreen.simulate import calibrate_censoring, example_config, gen_replicate
 
 
@@ -79,3 +80,8 @@ class TestRunBenchmark:
         default, _ = run_benchmark(config, replicates=2, methods=methods)
         explicit, _ = run_benchmark(config, replicates=2, methods=methods, conditioning="1")
         assert default == explicit
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, config, workers):
+        with pytest.raises(ValidationError, match="at least 1 worker"):
+            run_benchmark(config, replicates=1, methods=("cs-wald",), workers=workers)

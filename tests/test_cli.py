@@ -56,6 +56,20 @@ def test_example_and_config_together_rejected(tmp_path, monkeypatch, capsys, com
     assert os.listdir(tmp_path) == ["ex2.kv"]
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [("n=abc\np=3\n", "bad.kv:1: n: expected int, got 'abc'"),
+     ("n=10\np=3\nbeta.x=1\n", "bad.kv:3: beta.x: expected int, got 'x'"),
+     ("n=10\np=3\nbeta.1=abc\n", "bad.kv:3: beta.1: expected float, got 'abc'")],
+    ids=["n", "beta-index", "beta-value"],
+)
+def test_unparsable_config_value_reported(tmp_path, monkeypatch, capsys, lines, message):
+    (tmp_path / "bad.kv").write_text(lines)
+    monkeypatch.chdir(tmp_path)
+    assert main(["calibrate", "--config", "bad.kv"]) == 1
+    assert capsys.readouterr().err == f"error category=validation: {message}\n"
+
+
 class TestScreenCommand:
     def test_conditional_screen_writes_records_and_selection(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
@@ -318,6 +332,25 @@ class TestBenchmarkCommand:
             )
         # config_id differs only via --out basename, which is not embedded
         assert files["a"] == files["b"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected_before_calibration(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        from coxscreen import simulate
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", no_calibration)
+        code = main(["benchmark", "--example", "1", "--n", "30", "--p", "8", "--replicates", "1",
+                     "--methods", "cs-wald", "--workers", workers,
+                     "--out", str(tmp_path / "bench.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error category=config: --workers must be at least 1, got {workers}\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     def test_none_conditioning_scores_match_psis(self, tmp_path):
         out = str(tmp_path / "none.csv")

@@ -12,6 +12,8 @@ FAILING = {
     "screen-separated-c",
     "simulate-zero-replicates",
     "benchmark-example-and-config",
+    "calibrate-bad-kv",
+    "benchmark-workers-zero",
 }
 
 

@@ -4,9 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coxscreen import simulate
+from coxscreen import cox, simulate
 from coxscreen.cox import (
     CONVERGED,
+    NOT_CONVERGED,
+    SEPARATION,
+    SINGULAR,
     FitControl,
     fit,
     fit_batch,
@@ -16,7 +19,7 @@ from coxscreen.cox import (
 from coxscreen.data import SurvivalDataset
 from coxscreen.errors import NonIdentifiableError, SeparationError, ValidationError
 
-from conftest import random_dataset
+from conftest import random_dataset, tied_censored_dataset
 from oracles import (
     brute_loglik,
     build_risk_sets,
@@ -296,6 +299,90 @@ class TestFitMatchesNewtonLoop:
                 a, b = getattr(got, name), getattr(want, name)
                 assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes()
         assert seen >= {"converged", "not converged", "SeparationError", self.MERGED, self.AT_SOLUTION}
+
+
+def _bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestFitBatchMatchesNewtonLoop:
+    """fit_batch's rows against newton_loop_fit, which evaluates its weights afresh at every beta."""
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("start", ["warm", "last-nonzero", "far"])
+    def test_bit_identical(self, monkeypatch, q, start):
+        rng = np.random.default_rng(100 + q)
+        ds = tied_censored_dataset(rng, 120, 10, 2)
+        columns = list(range(1, q + 1))
+        candidates = list(range(q + 1, 11))
+        init = np.append(fit(ds, columns).coefficients if q else np.zeros(0), 0.0)
+        if start == "last-nonzero":
+            init[-1] = 0.3  # every row starts at its own linear predictor
+        elif start == "far":
+            init = np.full(q + 1, 4.0)  # full steps overshoot and get halved
+        control = FitControl(coefficient_bound=20.0)
+
+        rejected = []
+        real_accepts = cox._accepts
+
+        def recording_accepts(ll_new, ll):
+            good = real_accepts(ll_new, ll)
+            rejected.append(not np.all(good))
+            return good
+
+        monkeypatch.setattr(cox, "_accepts", recording_accepts)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            batch = fit_batch(ds, columns, candidates, control, init)
+        monkeypatch.undo()
+        assert any(rejected) == (start == "far")
+        for i, j in enumerate(candidates):
+            want = _outcome(newton_loop_fit, ds, columns + [j], control, init)
+            if isinstance(want, Exception):
+                assert batch.status[i] == (SEPARATION if isinstance(want, SeparationError) else SINGULAR)
+                assert np.isnan(batch.loglik[i]) and batch.iterations[i] == 0
+                continue
+            assert batch.status[i] == (CONVERGED if want.converged else NOT_CONVERGED)
+            assert batch.iterations[i] == want.iterations
+            assert batch.coefficients[i].tobytes() == want.coefficients.tobytes()
+            assert _bytes(batch.loglik[i], batch.variance[i]) == _bytes(want.loglik, want.variances[-1])
+
+
+class TestOneWeightSetPerStep:
+    """The engine evaluates the weights once at the start and once per trial step."""
+
+    def _count(self, monkeypatch, ds, columns, candidates, init):
+        rows = []
+        real_weights = cox._weights
+
+        def counting_weights(view, rows_, beta):
+            rows.append(beta.shape[0])
+            return real_weights(view, rows_, beta)
+
+        monkeypatch.setattr(cox, "_weights", counting_weights)
+        batch = fit_batch(ds, columns, candidates, FitControl(), init)
+        monkeypatch.undo()
+        return batch, rows
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_one_plus_k_evaluations(self, rng, monkeypatch, q):
+        ds = random_dataset(rng, 150, 8, beta=np.array([0.8, -0.5, 0.3, 0, 0, 0, 0, 0]),
+                            censor_upper=3.0)
+        columns = list(range(1, q + 1))
+        candidates = list(range(q + 1, 9))
+        init = np.append(fit(ds, columns).coefficients if q else np.zeros(0), 0.0)
+        batch, rows = self._count(monkeypatch, ds, columns, candidates, init)
+        assert np.all(batch.status == CONVERGED)
+        k = int(batch.iterations.max())
+        assert len(rows) == 1 + k
+        # the shared start row, then every row still iterating at each full step
+        assert rows == [1] + [int(np.sum(batch.iterations >= s)) for s in range(1, k + 1)]
+
+    def test_nonzero_last_start_is_evaluated_per_row(self, rng, monkeypatch):
+        ds = random_dataset(rng, 150, 5, beta=np.array([0.8, -0.5, 0, 0, 0]), censor_upper=3.0)
+        init = np.append(fit(ds, [1]).coefficients, 0.1)
+        batch, rows = self._count(monkeypatch, ds, [1], [2, 3, 4, 5], init)
+        assert np.all(batch.status == CONVERGED)
+        assert rows[0] == 4 and len(rows) == 1 + int(batch.iterations.max())
 
 
 class TestVarianceOfLastCoordinate:

@@ -332,6 +332,26 @@ class TestConfigSerialization:
         with pytest.raises(ValidationError, match="key=value"):
             config_from_kv(path)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("n=10\np=2.5\n", ":2: p: expected int, got '2.5'"),
+         ("n=10\np=3\nrho=high\n", ":3: rho: expected float, got 'high'"),
+         ("n=10\np=3\nbeta.=1\n", ":3: beta.: expected int, got ''")],
+        ids=["p", "rho", "beta-index"],
+    )
+    def test_unparsable_value_names_line_and_key(self, tmp_path, lines, message):
+        path = tmp_path / "sim.cfg"
+        path.write_text(lines)
+        with pytest.raises(ValidationError) as exc:
+            config_from_kv(path)
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_missing_required_key(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("n=10\n")
+        with pytest.raises(ValidationError, match="missing required key 'p'"):
+            config_from_kv(path)
+
     def test_examples_validate(self):
         for ex in (1, 2, 3):
             config = example_config(ex, n=100, p=20)

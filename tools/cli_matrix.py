@@ -95,6 +95,10 @@ def calls():
         ("benchmark-example-and-config", ["benchmark", "--example", "1", "--config", "ex2.kv",
                                           "--replicates", "1",
                                           "--out", "benchmark-example-and-config.csv"]),
+        ("calibrate-bad-kv", ["calibrate", "--config", "bad.kv"]),
+        ("benchmark-workers-zero", ["benchmark", "--example", "1", *SIZE, "--replicates", "1",
+                                    "--seed", SEED, "--workers", "0",
+                                    "--out", "benchmark-workers-zero.csv"]),
         ("calibrate-wide", ["calibrate", "--example", "1", "--n", "20", "--p", "100000",
                             "--target", "0.2"]),
     ]
@@ -114,6 +118,8 @@ def run_matrix(outdir):
         write_csv(tied_dataset(), "tied.csv")
         write_csv(small_dataset(), "small.csv")
         config_to_kv(example_config(2, n=60, p=12, censor_target=0.2, seed=int(SEED)), "ex2.kv")
+        with open("bad.kv", "w", encoding="utf-8") as fh:
+            fh.write("n=abc\np=12\n")
         codes = {}
         for name, argv in calls():
             out, err = io.StringIO(), io.StringIO()
