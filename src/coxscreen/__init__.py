@@ -6,7 +6,7 @@ CS-MPLE, CS-Wald and CS-PLIK statistics, alongside marginal baselines
 (PSIS, CORS, CRIS), seeded simulation designs and benchmark metrics.
 """
 
-from .baselines import BaselineResult, cors, cris, ipw_weights, psis
+from .baselines import BaselineResult, cors, cris, ipw_weights
 from .benchmark import ALL_METHODS, run_benchmark
 from .cox import CoxFit, FitControl, fit, log_partial_likelihood, score_and_information
 from .data import (

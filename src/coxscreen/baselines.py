@@ -1,18 +1,18 @@
-"""Marginal screening baselines: PSIS-Wald, PSIS-PLIK, CORS and CRIS.
+"""Marginal screening baselines CORS and CRIS, and the names of the four baselines.
 
-PSIS delegates to the conditional screen with an empty conditioning set, so
-its statistics are bit-identical to that path. CORS and CRIS reweight events
-by the inverse Kaplan-Meier estimate of the censoring survival function.
+PSIS-Wald and PSIS-PLIK are the rankings of the empty-C conditional screen.
+CORS and CRIS reweight events by the inverse Kaplan-Meier estimate of the
+censoring survival function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import cox, screening
-from .data import ConditioningSet, SurvivalDataset, validate
+from . import screening
+from .data import SurvivalDataset, validate
 from .errors import ValidationError
 
 KM_FLOOR = 0.05
@@ -28,18 +28,7 @@ class BaselineResult:
     method: str
     statistics: np.ndarray  # one value per covariate, 1-based index j at position j-1
     ranking: tuple  # covariate indices, descending statistic, index tie-break
-    degenerate: tuple = field(default=())  # zero-range columns, scored 0 (CORS and CRIS)
-
-
-def psis(dataset: SurvivalDataset, flavor="wald", control=cox.FitControl()) -> BaselineResult:
-    """Marginal (one covariate at a time) Cox screening; flavor 'wald' or 'plik'."""
-    if flavor not in ("wald", "plik"):
-        raise ValidationError(f"unknown PSIS flavor '{flavor}'")
-    result = screening.screen(dataset, ConditioningSet(), control, statistics=(flavor,))
-    values = np.full(dataset.p, np.nan)
-    values[result.index - 1] = result.statistic(flavor)  # NaN unless the fit converged
-    method = PSIS_WALD if flavor == "wald" else PSIS_PLIK
-    return BaselineResult(method, values, result.rankings[flavor])
+    degenerate: tuple  # zero-range columns, scored 0
 
 
 def ipw_weights(dataset: SurvivalDataset) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 from . import baselines, metrics, screening, simulate
-from .cox import FitControl
 from .data import ConditioningSet
 from .errors import ValidationError
 
@@ -25,7 +24,7 @@ def _score(method, ranking, rep, conditioning, budget, sure_k):
 
 def run_replicate(args):
     """Scores for one replicate; top-level so worker pools can pickle it."""
-    config, replicate_id, methods, conditioning, control = args
+    config, replicate_id, methods, conditioning = args
     rep = simulate.gen_replicate(config, replicate_id)
     dataset = rep.dataset
     cs_stats = tuple(m.split("-", 1)[1] for m in methods if m in CS_METHODS)
@@ -35,13 +34,13 @@ def run_replicate(args):
     psis_requested = {baselines.PSIS_WALD, baselines.PSIS_PLIK} & set(methods)
     if psis_requested or (cs_stats and (auto or conditioning.q == 0)):
         # one marginal sweep serves both PSIS flavors, the automatic choice of C and an empty C
-        marginal = screening.screen(dataset, ConditioningSet(), control)
+        marginal = screening.screen(dataset, ConditioningSet())
         rankings[baselines.PSIS_WALD] = marginal.rankings["wald"]
         rankings[baselines.PSIS_PLIK] = marginal.rankings["plik"]
     cond = ConditioningSet()
     if cs_stats:
         cond = screening.top_marginal_wald(marginal) if auto else conditioning
-        result = screening.screen(dataset, cond, control, statistics=cs_stats) if cond.q else marginal
+        result = screening.screen(dataset, cond, statistics=cs_stats) if cond.q else marginal
         rankings.update({f"cs-{s}": result.rankings[s] for s in cs_stats})
     if baselines.CORS in methods:
         rankings[baselines.CORS] = baselines.cors(dataset).ranking
@@ -57,7 +56,6 @@ def run_benchmark(
     replicates: int,
     methods=ALL_METHODS,
     conditioning=ConditioningSet((1,)),
-    control: FitControl = FitControl(),
     workers: int = 1,
 ):
     """Run all methods on `replicates` shared datasets; returns (scores, summaries).
@@ -69,6 +67,8 @@ def run_benchmark(
     for m in methods:
         if m not in ALL_METHODS:
             raise ValidationError(f"unknown method '{m}'; choose from {ALL_METHODS}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValidationError(f"methods must be a non-empty list of distinct names, got {methods}")
     if replicates < 1:
         raise ValidationError("need at least 1 replicate")
     if workers < 1:
@@ -76,7 +76,7 @@ def run_benchmark(
     conditioning = screening.parse_conditioning(conditioning)
     config = simulate.with_censor_upper(config)
 
-    jobs = [(config, rid, methods, conditioning, control) for rid in range(replicates)]
+    jobs = [(config, rid, methods, conditioning) for rid in range(replicates)]
     if workers == 1:
         per_rep = [run_replicate(job) for job in jobs]
     else:

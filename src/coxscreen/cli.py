@@ -8,14 +8,12 @@ line ``error category=<io|validation|fit|config>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
 
 from . import benchmark, diagnostics, metrics, screening, simulate
-from .cox import FitControl
-from .data import ColumnSchema, read_csv, write_csv
+from .data import ColumnSchema, read_csv, write_csv, write_rows
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -65,14 +63,6 @@ def _sim_config(args):
     )
 
 
-def _write_selected(path, indices, names):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "name"])
-        for j in indices:
-            writer.writerow([j, names[j - 1]])
-
-
 def _dataset_and_conditioning(args):
     """The --input dataset and the C that --conditioning names on it; an auto C is reported."""
     dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
@@ -91,7 +81,7 @@ def cmd_screen(args):
         raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
     stats = _parse_stats(args.stats)
     dataset, cond = _dataset_and_conditioning(args)
-    result = screening.screen(dataset, cond, FitControl(), statistics=stats)
+    result = screening.screen(dataset, cond, statistics=stats)
 
     failures = (result.fit_status != screening.CONVERGED).sum()
     print(
@@ -114,7 +104,8 @@ def cmd_screen(args):
     else:
         k = args.top_k if args.top_k is not None else screening.default_top_k(dataset.n)
         selected = screening.select_top_k(result, stat, min(k, result.index.size))
-    _write_selected(base + "_selected.csv", selected, result.covariate_names)
+    rows = ([j, result.covariate_names[j - 1]] for j in selected)
+    write_rows(base + "_selected.csv", ["index", "name"], rows)
     return 0
 
 

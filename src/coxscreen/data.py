@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,9 @@ class ConditioningSet:
     indices: tuple = ()
 
     def __post_init__(self):
+        for j in self.indices:
+            if not (isinstance(j, numbers.Real) and float(j).is_integer()):
+                raise ValidationError(f"conditioning index {j!r} is not an integer")
         idx = tuple(int(j) for j in self.indices)
         if len(set(idx)) != len(idx):
             raise ValidationError(f"conditioning indices must be distinct: {idx}")
@@ -252,13 +256,19 @@ def _read_table(path, schema):
     return cov_names, table[:, columns]
 
 
-def write_csv(dataset: SurvivalDataset, path, schema: ColumnSchema = ColumnSchema()):
-    """Write a dataset; floats use repr so read_csv round-trips values exactly."""
+def write_rows(path, header, rows):
+    """Write a header and rows as UTF-8 CSV with csv-module quoting and \\r\\n line ends.
+
+    Pass Python values (``.tolist()``): csv writes a Python float as its repr,
+    which read_csv reads back bit for bit.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([schema.time_col, schema.status_col, *dataset.covariate_names])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(dataset.time[i])), int(dataset.status[i])]
-                + [repr(float(v)) for v in dataset.covariates[i]]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(dataset: SurvivalDataset, path):
+    """Write a dataset with write_rows, converting one covariate row at a time."""
+    rows = zip(dataset.time.tolist(), dataset.status.tolist(), dataset.covariates)
+    write_rows(path, ["time", "status", *dataset.covariate_names], ([t, s, *z.tolist()] for t, s, z in rows))

@@ -8,12 +8,11 @@ decomposition) hold exactly on the fitting sample instead of up to an
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConditioningSet, SurvivalDataset
+from .data import ConditioningSet, SurvivalDataset, write_rows
 from .errors import ValidationError
 
 _PINV_RTOL = 1e-10
@@ -24,8 +23,6 @@ class CLEModel:
     target_mean: np.ndarray
     predictor_mean: np.ndarray
     coefficient_matrix: np.ndarray  # A, shape (dim(xi), dim(zeta))
-    predictor_covariance: np.ndarray
-    cross_covariance: np.ndarray  # Cov(zeta, xi), shape (dim(zeta), dim(xi))
     pseudo_inverse_used: bool = False
 
 
@@ -36,7 +33,7 @@ def _as_2d(a):
     return a
 
 
-def _solve_gram(var_xi, rhs, allow_singular):
+def _solve_gram(var_xi, rhs):
     """Solve var_xi @ A = rhs, falling back to the pseudo-inverse when singular."""
     try:
         cond = np.linalg.cond(var_xi)
@@ -44,12 +41,10 @@ def _solve_gram(var_xi, rhs, allow_singular):
             return np.linalg.solve(var_xi, rhs), False
     except np.linalg.LinAlgError:
         pass
-    if not allow_singular:
-        raise ValidationError("predictor covariance is singular")
     return np.linalg.pinv(var_xi, rcond=_PINV_RTOL) @ rhs, True
 
 
-def fit_cle(zeta, xi, allow_singular=True) -> CLEModel:
+def fit_cle(zeta, xi) -> CLEModel:
     """Best affine predictor of zeta from xi via empirical-moment plug-in."""
     zeta = _as_2d(zeta)
     xi = _as_2d(xi)
@@ -66,13 +61,11 @@ def fit_cle(zeta, xi, allow_singular=True) -> CLEModel:
         coef = np.zeros((0, zeta.shape[1]))
         used_pinv = False
     else:
-        coef, used_pinv = _solve_gram(var_xi, cross.T, allow_singular)
+        coef, used_pinv = _solve_gram(var_xi, cross.T)
     return CLEModel(
         target_mean=zeta.mean(axis=0),
         predictor_mean=xi.mean(axis=0),
         coefficient_matrix=coef,
-        predictor_covariance=var_xi,
-        cross_covariance=cross,
         pseudo_inverse_used=used_pinv,
     )
 
@@ -96,18 +89,18 @@ def cle_predict(model: CLEModel, xi) -> np.ndarray:
     return pred[0] if single else pred
 
 
-def _partial_covariances(columns, target, xi, allow_singular=True) -> np.ndarray:
+def _partial_covariances(columns, target, xi) -> np.ndarray:
     """Cov(z, t) - Cov(z, xi) Var(xi)^-1 Cov(xi, t) for every column z of `columns`.
 
     The target t is residualised on xi once; each column then costs one inner
     product with that residual. An empty xi (n rows, 0 columns) gives the
     plain covariances.
     """
-    resid = target - cle_predict(fit_cle(target, xi, allow_singular), xi)[:, 0]
+    resid = target - cle_predict(fit_cle(target, xi), xi)[:, 0]
     return resid @ (columns - columns.mean(axis=0)) / target.shape[0]
 
 
-def cond_linear_cov(zeta1, zeta2, xi=None, allow_singular=True) -> float:
+def cond_linear_cov(zeta1, zeta2, xi=None) -> float:
     """Empirical partial covariance Cov(z1,z2) - Cov(z1,xi) Var(xi)^-1 Cov(xi,z2).
 
     With an empty (or None) conditioning block this is the plain covariance
@@ -118,7 +111,7 @@ def cond_linear_cov(zeta1, zeta2, xi=None, allow_singular=True) -> float:
     if z2.shape[0] != z1.shape[0]:
         raise ValidationError("zeta1 and zeta2 must have the same length")
     xi = np.empty((z1.shape[0], 0)) if xi is None else _as_2d(xi)
-    return float(_partial_covariances(z1[:, None], z2, xi, allow_singular)[0])
+    return float(_partial_covariances(z1[:, None], z2, xi)[0])
 
 
 def _signal_strengths(dataset, conditioning, z):
@@ -144,9 +137,6 @@ def signal_strengths_to_csv(dataset, conditioning, path):
     conditioning.check_against(dataset)
     candidates = conditioning.complement(dataset.p)
     values = _signal_strengths(dataset, conditioning, dataset.covariates[:, [j - 1 for j in candidates]])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "name", "signal_strength"])
-        for j, value in zip(candidates, values):
-            writer.writerow([j, dataset.covariate_names[j - 1], repr(float(value))])
+    names = [dataset.covariate_names[j - 1] for j in candidates]
+    write_rows(path, ["index", "name", "signal_strength"], zip(candidates, names, values.tolist()))
     return candidates

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConditioningSet
+from .data import ConditioningSet, write_rows
 from .errors import ValidationError
 
 
@@ -88,21 +87,12 @@ def summarize(scores) -> BenchmarkSummary:
 
 
 def summaries_to_csv(summaries, path, config_id=""):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "config_id", "median_mms", "iqr_mms", "median_tpr", "iqr_tpr", "sure_rate", "replicates"]
-        )
-        for s in summaries:
-            writer.writerow(
-                [s.method, config_id, repr(s.median_mms), repr(s.iqr_mms), repr(s.median_tpr),
-                 repr(s.iqr_tpr), repr(s.sure_rate), s.replicates]
-            )
+    header = ["method", "config_id", "median_mms", "iqr_mms", "median_tpr", "iqr_tpr", "sure_rate", "replicates"]
+    rows = ([s.method, config_id, s.median_mms, s.iqr_mms, s.median_tpr, s.iqr_tpr, s.sure_rate, s.replicates]
+            for s in summaries)
+    write_rows(path, header, rows)
 
 
 def scores_to_csv(scores, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "replicate_id", "mms", "tpr", "sure_screened"])
-        for s in scores:
-            writer.writerow([s.method, s.replicate_id, s.mms, repr(s.tpr), int(s.sure_screened)])
+    rows = ([s.method, s.replicate_id, s.mms, s.tpr, int(s.sure_screened)] for s in scores)
+    write_rows(path, ["method", "replicate_id", "mms", "tpr", "sure_screened"], rows)

@@ -11,7 +11,6 @@ three screening statistics are derived from the added coordinate:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import cox
 from .cox import CONVERGED, NOT_CONVERGED, SEPARATION, SINGULAR  # noqa: F401 (fit statuses)
-from .data import ConditioningSet, SurvivalDataset, validate
+from .data import ConditioningSet, SurvivalDataset, validate, write_rows
 from .errors import ConfigError, NonIdentifiableError, ValidationError
 
 STATISTICS = ("mple", "wald", "plik")
@@ -186,11 +185,9 @@ def top_marginal_wald(marginal: ScreeningResult) -> ConditioningSet:
     return ConditioningSet((marginal.rankings["wald"][0],))
 
 
-def default_conditioning(
-    dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl()
-) -> ConditioningSet:
+def default_conditioning(dataset: SurvivalDataset) -> ConditioningSet:
     """Single conditioning variable: the top covariate of a marginal Wald screen."""
-    marginal = screen(dataset, ConditioningSet(), control, statistics=("wald",))
+    marginal = screen(dataset, ConditioningSet(), statistics=("wald",))
     return top_marginal_wald(marginal)
 
 
@@ -217,25 +214,20 @@ def parse_conditioning(spec):
     return ConditioningSet(indices)
 
 
-def resolve_conditioning(
-    spec, dataset: SurvivalDataset, control: cox.FitControl = cox.FitControl()
-) -> ConditioningSet:
+def resolve_conditioning(spec, dataset: SurvivalDataset) -> ConditioningSet:
     """The ConditioningSet a spec names on this dataset; 'auto' runs default_conditioning."""
     cond = parse_conditioning(spec)
     if cond == AUTO:
-        return default_conditioning(dataset, control)
+        return default_conditioning(dataset)
     return cond
 
 
 def result_to_csv(result: ScreeningResult, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "name", "beta_hat", "sigma_hat", "wald", "plik", "fit_status"])
-        index = result.index.tolist()
-        names = [result.covariate_names[j - 1] for j in index]
-        columns = (result.beta_hat, result.sigma_hat, result.wald, result.plik)
-        floats = (map(repr, c.tolist()) for c in columns)
-        writer.writerows(zip(index, names, *floats, result.fit_status.tolist()))
+    index = result.index.tolist()
+    names = [result.covariate_names[j - 1] for j in index]
+    columns = (result.beta_hat, result.sigma_hat, result.wald, result.plik, result.fit_status)
+    header = ["index", "name", "beta_hat", "sigma_hat", "wald", "plik", "fit_status"]
+    write_rows(path, header, zip(index, names, *(c.tolist() for c in columns)))
 
 
 # One record of result_to_json, keys sorted, as json.dump(..., indent=1) lays it out.

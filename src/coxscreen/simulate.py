@@ -287,6 +287,9 @@ def config_from_kv(path) -> SimConfig:
                 beta[j] = _kv_value(path, line_num, key, value, float)
             elif key in _KV_FIELDS:
                 fields[key] = _kv_value(path, line_num, key, value, _KV_FIELDS[key])
+            else:
+                known = ", ".join([*_KV_FIELDS, "beta.<j>"])
+                raise ValidationError(f"{path}:{line_num}: {key}: unknown key; known keys are {known}")
     for key in ("n", "p"):
         if key not in fields:
             raise ValidationError(f"{path}: missing required key '{key}'")

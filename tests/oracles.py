@@ -5,11 +5,12 @@ risk sets are enumerated directly, derivatives come from finite differences,
 maximization is derivative-free, and the Kaplan-Meier product is a literal
 product over censoring times. The screening sweep's oracle, and ``cox.fit``'s,
 is ``newton_loop_fit``: one plain Newton loop per model. The CSV reader's
-oracle parses every cell with ``float``; the CSV writer's writes one record at
-a time, and the JSON writer's is ``json.dump``. The simulation oracles draw the whole covariate
-matrix at once, and CRIS's builds an n x n pair matrix per column; ``cris``'s
-integer-rank kernel is also held to ``float_sign_cris``, the float-sign kernel
-it replaced, bit for bit.
+oracle parses every cell with ``float``; the CSV writers' write one record at
+a time with ``repr`` on every float cell, and the JSON writer's is
+``json.dump``. The simulation oracles draw the whole covariate matrix at
+once, and CRIS's builds an n x n pair matrix per column; ``cris``'s
+integer-rank kernel is also held to ``float_sign_cris``, the float-sign
+kernel it replaced, bit for bit.
 """
 
 import csv
@@ -473,6 +474,21 @@ def per_cell_read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDa
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     return SurvivalDataset(times, statuses, np.array(rows, dtype=float), cov_names)
+
+
+def per_cell_repr_write_rows(path, header, rows):
+    """The CSV writers before ``data.write_rows``: floats, numpy or not, as repr(float(v)), ints as int."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [
+                    repr(float(v)) if isinstance(v, (float, np.floating))
+                    else int(v) if isinstance(v, (int, np.integer)) else v
+                    for v in row
+                ]
+            )
 
 
 def record_loop_result_to_csv(result, path):

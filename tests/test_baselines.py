@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxscreen import simulate
-from coxscreen.baselines import KM_FLOOR, _dense_ranks, cors, cris, ipw_weights, psis
-from coxscreen.data import ConditioningSet, SurvivalDataset
+from coxscreen.baselines import KM_FLOOR, _dense_ranks, cors, cris, ipw_weights
+from coxscreen.data import SurvivalDataset
 from coxscreen.errors import ValidationError
-from coxscreen.screening import CONVERGED, screen
 
 from conftest import random_dataset
 from oracles import (
@@ -24,30 +23,6 @@ def tied_dataset(rng, n, p, censor_upper):
     """random_dataset with follow-up times rounded onto a coarse grid, so many tie."""
     ds = random_dataset(rng, n, p, beta=0.5 * rng.normal(size=p), censor_upper=censor_upper)
     return SurvivalDataset(np.round(ds.time, 1) + 0.1, ds.status, ds.covariates)
-
-
-class TestPSIS:
-    def test_delegates_to_empty_conditioning_screen(self, rng):
-        ds = random_dataset(rng, 50, 5, beta=np.array([1.0, 0, 0, 0, -0.5]), censor_upper=3.0)
-        marginal = screen(ds, ConditioningSet(), statistics=("wald", "plik"))
-        for flavor in ("wald", "plik"):
-            result = psis(ds, flavor)
-            converged = marginal.fit_status == CONVERGED
-            np.testing.assert_array_equal(
-                result.statistics[marginal.index[converged] - 1],
-                marginal.statistic(flavor)[converged],
-            )
-            assert np.isnan(result.statistics[marginal.index[~converged] - 1]).all()
-            assert result.ranking == marginal.rankings[flavor]
-
-    def test_single_covariate(self, rng):
-        ds = random_dataset(rng, 20, 1, beta=np.array([0.5]))
-        assert psis(ds, "wald").ranking == (1,)
-
-    def test_unknown_flavor(self, rng):
-        ds = random_dataset(rng, 20, 1)
-        with pytest.raises(ValidationError):
-            psis(ds, "mple")
 
 
 class TestIPWWeights:

@@ -2,10 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from coxscreen import baselines, screening
+from coxscreen import baselines, screening, simulate
 from coxscreen.baselines import PSIS_PLIK, PSIS_WALD
 from coxscreen.benchmark import ALL_METHODS, CS_METHODS, _score, run_benchmark, run_replicate
-from coxscreen.cox import FitControl
 from coxscreen.data import ConditioningSet
 from coxscreen.errors import ValidationError
 from coxscreen.simulate import calibrate_censoring, example_config, gen_replicate
@@ -20,7 +19,6 @@ def config():
 
 class TestRunReplicate:
     def test_auto_shares_one_marginal_sweep(self, config, monkeypatch):
-        control = FitControl()
         conditionings = []
         real_screen = screening.screen
 
@@ -29,22 +27,21 @@ class TestRunReplicate:
             return real_screen(dataset, conditioning, *args, **kwargs)
 
         monkeypatch.setattr(screening, "screen", counting_screen)
-        scores = run_replicate((config, 0, ALL_METHODS, screening.AUTO, control))
+        scores = run_replicate((config, 0, ALL_METHODS, screening.AUTO))
         monkeypatch.undo()
         assert len(conditionings) == 2
         assert conditionings[0] == ConditioningSet()
         assert [s.method for s in scores] == list(ALL_METHODS)
 
-        cs_auto = run_replicate((config, 0, CS_METHODS, screening.AUTO, control))
-        psis = run_replicate((config, 0, (PSIS_WALD, PSIS_PLIK), screening.AUTO, control))
+        cs_auto = run_replicate((config, 0, CS_METHODS, screening.AUTO))
+        psis = run_replicate((config, 0, (PSIS_WALD, PSIS_PLIK), screening.AUTO))
         assert scores[:3] == cs_auto
         assert scores[3:5] == psis
         cond = screening.default_conditioning(gen_replicate(config, 0).dataset)
         assert conditionings[1] == cond
-        assert run_replicate((config, 0, CS_METHODS, cond, control)) == cs_auto
+        assert run_replicate((config, 0, CS_METHODS, cond)) == cs_auto
 
     def test_empty_conditioning_reuses_the_marginal_sweep(self, config, monkeypatch):
-        control = FitControl()
         empty = ConditioningSet()
         conditionings = []
         real_screen = screening.screen
@@ -54,7 +51,7 @@ class TestRunReplicate:
             return real_screen(dataset, conditioning, *args, **kwargs)
 
         monkeypatch.setattr(screening, "screen", counting_screen)
-        scores = run_replicate((config, 0, ALL_METHODS, screening.parse_conditioning("none"), control))
+        scores = run_replicate((config, 0, ALL_METHODS, screening.parse_conditioning("none")))
         monkeypatch.undo()
         assert conditionings == [empty]
 
@@ -62,11 +59,11 @@ class TestRunReplicate:
         rep = gen_replicate(config, 0)
         ds = rep.dataset
         rankings = {
-            f"cs-{s}": screening.screen(ds, empty, control, statistics=(s,)).rankings[s]
+            f"cs-{s}": screening.screen(ds, empty, statistics=(s,)).rankings[s]
             for s in screening.STATISTICS
         }
-        rankings[PSIS_WALD] = baselines.psis(ds, "wald").ranking
-        rankings[PSIS_PLIK] = baselines.psis(ds, "plik").ranking
+        for method, flavor in ((PSIS_WALD, "wald"), (PSIS_PLIK, "plik")):
+            rankings[method] = screening.screen(ds, empty, statistics=(flavor,)).rankings[flavor]
         rankings[baselines.CORS] = baselines.cors(ds).ranking
         rankings[baselines.CRIS] = baselines.cris(ds).ranking
         budget, sure_k = config.n, screening.default_top_k(config.n)
@@ -85,3 +82,13 @@ class TestRunBenchmark:
     def test_workers_below_one_rejected(self, config, workers):
         with pytest.raises(ValidationError, match="at least 1 worker"):
             run_benchmark(config, replicates=1, methods=("cs-wald",), workers=workers)
+
+    @pytest.mark.parametrize("methods", [(), ("cors", "cs-wald", "cors")], ids=["empty", "repeated"])
+    def test_empty_or_repeated_methods_rejected_before_calibration(self, methods, monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before checking the methods")
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", no_calibration)
+        uncalibrated = example_config(2, n=60, p=12, censor_target=0.2, seed=4)
+        with pytest.raises(ValidationError, match="non-empty list of distinct names"):
+            run_benchmark(uncalibrated, replicates=1, methods=methods)

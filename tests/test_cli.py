@@ -70,6 +70,16 @@ def test_unparsable_config_value_reported(tmp_path, monkeypatch, capsys, lines, 
     assert capsys.readouterr().err == f"error category=validation: {message}\n"
 
 
+def test_unknown_config_key_reported(tmp_path, monkeypatch, capsys):
+    (tmp_path / "typo.kv").write_text("n=30\np=8\nbeta.1=1.0\ncensoring=0.5\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "typo.kv", "--out", "sim.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error category=validation: typo.kv:4: censoring: unknown key; known keys are ")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["typo.kv"]
+
+
 class TestScreenCommand:
     def test_conditional_screen_writes_records_and_selection(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
@@ -350,6 +360,24 @@ class TestBenchmarkCommand:
         assert capsys.readouterr().err == (
             f"error category=config: --workers must be at least 1, got {workers}\n"
         )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("methods", [",", "cors,cs-wald,cors"], ids=["empty", "repeated"])
+    def test_empty_or_repeated_methods_rejected_before_calibration(
+        self, tmp_path, monkeypatch, capsys, methods
+    ):
+        from coxscreen import simulate
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", no_calibration)
+        code = main(["benchmark", "--example", "1", "--n", "30", "--p", "8", "--replicates", "1",
+                     "--methods", methods, "--out", str(tmp_path / "bench.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error category=validation: methods must be a non-empty list of distinct")
+        assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_none_conditioning_scores_match_psis(self, tmp_path):

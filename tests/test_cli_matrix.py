@@ -14,6 +14,8 @@ FAILING = {
     "benchmark-example-and-config",
     "calibrate-bad-kv",
     "benchmark-workers-zero",
+    "simulate-unknown-kv",
+    "benchmark-empty-methods",
 }
 
 

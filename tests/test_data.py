@@ -14,11 +14,13 @@ from coxscreen.data import (
     standardize,
     validate,
     write_csv,
+    write_rows,
 )
 from coxscreen.errors import CSVParseError, ValidationError
+from coxscreen.screening import parse_conditioning
 
 from conftest import random_dataset
-from oracles import build_risk_sets, per_cell_read_csv
+from oracles import build_risk_sets, per_cell_read_csv, per_cell_repr_write_rows
 
 
 def make(times, statuses, covs):
@@ -165,6 +167,34 @@ class TestCSV:
         back = read_csv(path)
         assert back == ds
 
+    def test_write_csv_matches_per_cell_repr_writer(self, tmp_path):
+        names = ["a,b", 'say "hi"', "z3"]
+        z = np.array([[-0.0, 5e-324, 1e16], [1e-05, 0.1, -2.5], [3.0, -1e-300, 7.0]])
+        ds = SurvivalDataset([1.5, 0.25, 1e-05], [1, 0, 1], z, names)
+        write_csv(ds, tmp_path / "new.csv")
+        rows = [[t, s, *row] for t, s, row in zip(ds.time, ds.status, ds.covariates)]
+        per_cell_repr_write_rows(tmp_path / "old.csv", ["time", "status", *names], rows)
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written.startswith(b'time,status,"a,b","say ""hi""",z3\r\n1.5,1,-0.0,5e-324,1e+16\r\n')
+        back = read_csv(tmp_path / "new.csv")
+        assert back.covariate_names == names
+        for got, want in ((back.time, ds.time), (back.status, ds.status), (back.covariates, ds.covariates)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_write_rows_matches_per_cell_repr_writer_on_non_finite_floats(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e16, 1e-05, np.nan, np.inf, -np.inf])
+        names = ["a,b", 'say "hi"'] + [f"z{k}" for k in range(3, 8)]
+        header = ["index", "name", "value"]
+        write_rows(tmp_path / "new.csv", header, zip(range(1, 8), names, values.tolist()))
+        per_cell_repr_write_rows(tmp_path / "old.csv", header, zip(np.arange(1, 8), names, values))
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written.decode("utf-8").split("\r\n")[1:] == [
+            '1,"a,b",-0.0', '2,"say ""hi""",5e-324', "3,z3,1e+16", "4,z4,1e-05",
+            "5,z5,nan", "6,z6,inf", "7,z7,-inf", "",
+        ]
+
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("followup,dead,a,b\n1.0,1,0.5,1.0\n2.0,0,0.1,2.0\n")
@@ -310,3 +340,15 @@ class TestConditioningSet:
 
     def test_complement(self):
         assert ConditioningSet((2,)).complement(4) == [1, 3, 4]
+
+    @pytest.mark.parametrize("index", [2.9, np.float64(2.5), -0.5, float("nan"), float("inf"), "2"])
+    def test_non_integral_index_rejected(self, index):
+        with pytest.raises(ValidationError, match=re.escape(f"conditioning index {index!r} is not an integer")):
+            ConditioningSet((1, index))
+        with pytest.raises(ValidationError, match="is not an integer"):
+            parse_conditioning([index])
+
+    def test_integer_indices_accepted(self):
+        cond = ConditioningSet((np.int64(3), np.int32(1), 2))
+        assert cond.indices == (3, 1, 2) and all(type(j) is int for j in cond.indices)
+        assert parse_conditioning([np.int64(2), 4]).indices == (2, 4)

@@ -346,6 +346,16 @@ class TestConfigSerialization:
             config_from_kv(path)
         assert str(exc.value) == f"{path}{message}"
 
+    def test_unknown_key_names_line_and_lists_known_keys(self, tmp_path):
+        path = tmp_path / "typo.kv"
+        path.write_text("n=10\np=3\ncensoring=0.5\n")
+        with pytest.raises(ValidationError) as exc:
+            config_from_kv(path)
+        assert str(exc.value) == (
+            f"{path}:3: censoring: unknown key; known keys are n, p, intercept, correlation, "
+            "rho, censor_target, censor_upper, seed, beta.<j>"
+        )
+
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("n=10\n")

@@ -56,6 +56,16 @@ def small_dataset():
     return SurvivalDataset(rng.exponential(size=40), np.ones(40), rng.normal(size=(40, 3)))
 
 
+def quoted_dataset():
+    """Covariate names that CSV must quote (a comma, double quotes) and one non-ASCII name."""
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(50, 4))
+    t = rng.exponential(size=50) / np.exp(z[:, 0])
+    c = rng.uniform(0.0, 2.0, size=50)
+    return SurvivalDataset(np.minimum(t, c), (t <= c).astype(int), z,
+                           ["a,b", 'say "hi"', "größe", "z4"])
+
+
 def calls():
     """(name, argv) of every call, in the order they run; later calls read earlier outputs."""
     runs = [
@@ -78,7 +88,13 @@ def calls():
             name = f"diagnose-{data}" + ("-auto" if cond == "auto" else "")
             runs.append((name, ["diagnose", "--input", f"{data}.csv", "--conditioning", cond,
                                 "--out", f"{name}.csv"]))
+    for fmt in ("csv", "json"):
+        name = f"screen-quoted-{fmt}"
+        runs.append((name, ["screen", "--input", "quoted.csv", "--conditioning", "1",
+                            "--stats", "mple,wald,plik", "--format", fmt, "--out", f"{name}.{fmt}"]))
     runs += [
+        ("diagnose-quoted", ["diagnose", "--input", "quoted.csv", "--conditioning", "2",
+                             "--out", "diagnose-quoted.csv"]),
         ("screen-no-candidates", ["screen", "--input", "small.csv", "--conditioning", "1,2,3",
                                   "--out", "screen-no-candidates.csv"]),
         ("screen-topk-zero", ["screen", "--input", "tied.csv", "--top-k", "0",
@@ -99,6 +115,11 @@ def calls():
         ("benchmark-workers-zero", ["benchmark", "--example", "1", *SIZE, "--replicates", "1",
                                     "--seed", SEED, "--workers", "0",
                                     "--out", "benchmark-workers-zero.csv"]),
+        ("simulate-unknown-kv", ["simulate", "--config", "typo.kv",
+                                 "--out", "simulate-unknown-kv.csv"]),
+        ("benchmark-empty-methods", ["benchmark", "--example", "1", *SIZE, "--replicates", "1",
+                                     "--seed", SEED, "--methods", ",",
+                                     "--out", "benchmark-empty-methods.csv"]),
         ("calibrate-wide", ["calibrate", "--example", "1", "--n", "20", "--p", "100000",
                             "--target", "0.2"]),
     ]
@@ -117,9 +138,12 @@ def run_matrix(outdir):
     try:
         write_csv(tied_dataset(), "tied.csv")
         write_csv(small_dataset(), "small.csv")
+        write_csv(quoted_dataset(), "quoted.csv")
         config_to_kv(example_config(2, n=60, p=12, censor_target=0.2, seed=int(SEED)), "ex2.kv")
         with open("bad.kv", "w", encoding="utf-8") as fh:
             fh.write("n=abc\np=12\n")
+        with open("typo.kv", "w", encoding="utf-8") as fh:
+            fh.write("n=60\np=12\nbeta.1=1.0\ncensoring=0.5\n")
         codes = {}
         for name, argv in calls():
             out, err = io.StringIO(), io.StringIO()
