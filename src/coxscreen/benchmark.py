@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from . import baselines, metrics, screening, simulate
 from .data import ConditioningSet
 from .errors import ValidationError
@@ -80,6 +78,8 @@ def run_benchmark(
     if workers == 1:
         per_rep = [run_replicate(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here: keeps multiprocessing out of `import coxscreen`
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(run_replicate, jobs, chunksize=max(1, replicates // (4 * workers))))
     scores = [s for rep_scores in per_rep for s in rep_scores]

@@ -197,12 +197,14 @@ def parse_conditioning(spec):
     The spec is 'none', 'auto', a comma list of 1-based indices, an index
     sequence or a ConditioningSet.
     """
-    if isinstance(spec, ConditioningSet) or spec == AUTO:
+    if isinstance(spec, ConditioningSet):
+        return spec
+    if not isinstance(spec, str):  # before any `==`, which is elementwise on a numpy array
+        return ConditioningSet(tuple(spec))
+    if spec == AUTO:
         return spec
     if spec == "none":
         return ConditioningSet()
-    if not isinstance(spec, str):
-        return ConditioningSet(tuple(spec))
     try:
         indices = tuple(int(tok) for tok in spec.split(",") if tok.strip())
     except ValueError:

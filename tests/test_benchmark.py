@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from coxscreen import baselines, screening, simulate
@@ -77,6 +78,12 @@ class TestRunBenchmark:
         default, _ = run_benchmark(config, replicates=2, methods=methods)
         explicit, _ = run_benchmark(config, replicates=2, methods=methods, conditioning="1")
         assert default == explicit
+
+    def test_integer_array_conditioning(self, config):
+        methods = ("cs-wald",)
+        from_array, _ = run_benchmark(config, replicates=1, methods=methods, conditioning=np.array([2, 4]))
+        from_text, _ = run_benchmark(config, replicates=1, methods=methods, conditioning="2,4")
+        assert from_array == from_text
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, config, workers):

@@ -274,6 +274,14 @@ class TestParseConditioning:
             with pytest.raises(ConfigError):
                 parse_conditioning(spec)
 
+    def test_integer_array(self):
+        assert parse_conditioning(np.array([2, 4])) == ConditioningSet((2, 4))
+
+    @pytest.mark.parametrize("spec", [np.array([[2, 4]]), np.array([2.5, 4.0])], ids=["2d", "float"])
+    def test_bad_arrays(self, spec):
+        with pytest.raises((ValidationError, ConfigError)):
+            parse_conditioning(spec)
+
 
 class TestSelection:
     def test_threshold_small_gamma_selects_all(self, dataset):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from coxscreen import simulate
 from coxscreen.cox import fit
@@ -65,6 +65,49 @@ class TestCovariates:
             dists[n] = np.linalg.norm(np.cov(z, rowvar=False) - sigma)
         assert dists[5000] < 0.3
         assert dists[50000] < 0.1
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between same-signed float64 arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestNdtri:
+    """simulate._ndtri against scipy.special.ndtri, the cephes routine it ports."""
+
+    def test_centre_bit_identical(self):
+        rng = np.random.default_rng(101)
+        edge = simulate._EXP_M2
+        y = rng.uniform(edge, 1.0 - edge, 1_200_000)
+        y = y[(y > edge) & (y <= 1.0 - edge)]
+        assert y.size >= 1_000_000
+        assert simulate._ndtri(y).tobytes() == special.ndtri(y).tobytes()
+
+    def test_tails_within_8_ulp(self):
+        # numpy's vectorised log may round differently from the C library's
+        rng = np.random.default_rng(102)
+        edge = simulate._EXP_M2
+        y = np.concatenate([
+            rng.uniform(0.0, edge, 500_000),
+            1.0 - rng.uniform(0.0, edge, 500_000),
+            10.0 ** -rng.uniform(14.0, 300.0, 100_000),  # the far tail, z < 1/8
+        ])
+        y = y[(y > 0.0) & ((y <= edge) | (y > 1.0 - edge))]
+        ulps = _ulps(simulate._ndtri(y), special.ndtri(y))
+        assert np.mean(ulps == 0) >= 0.999
+        assert ulps.max() <= 8
+
+    def test_edge_points_exact(self):
+        edge = simulate._EXP_M2
+        y = np.array([1e-300, 5e-324, edge, np.nextafter(edge, 1.0), 1.0 - edge,
+                      np.nextafter(1.0 - edge, 1.0), 0.5, np.nextafter(1.0, 0.0)])
+        assert simulate._ndtri(y).tobytes() == special.ndtri(y).tobytes()
+
+    def test_standard_normal_blocks_match_one_call(self):
+        shape = (3, simulate._NDTRI_BLOCK + 5)
+        u = np.maximum(_rng(5, 0, 0).random(shape), 1e-300)
+        expected = simulate._ndtri(u.ravel()).reshape(shape)
+        assert simulate._standard_normal(_rng(5, 0, 0), shape).tobytes() == expected.tobytes()
 
 
 class TestSurvivalTimes:
