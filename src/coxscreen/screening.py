@@ -200,7 +200,13 @@ def parse_conditioning(spec):
     if isinstance(spec, ConditioningSet):
         return spec
     if not isinstance(spec, str):  # before any `==`, which is elementwise on a numpy array
-        return ConditioningSet(tuple(spec))
+        try:
+            indices = tuple(spec)
+        except TypeError:
+            raise ConfigError(
+                f"conditioning must be 'auto', 'none', a comma list or an index sequence, got {spec!r}"
+            ) from None
+        return ConditioningSet(indices)
     if spec == AUTO:
         return spec
     if spec == "none":
@@ -232,81 +238,26 @@ def result_to_csv(result: ScreeningResult, path):
     write_rows(path, header, zip(index, names, *(c.tolist() for c in columns)))
 
 
-# One record of result_to_json, keys sorted, as json.dump(..., indent=1) lays it out.
-_RECORD_JSON = (
-    "{\n"
-    '   "beta_hat": %s,\n'
-    '   "conditioning_coefficients": %s,\n'
-    '   "fit_status": %s,\n'
-    '   "index": %d,\n'
-    '   "iterations": %d,\n'
-    '   "name": %s,\n'
-    '   "plik": %s,\n'
-    '   "sigma_hat": %s,\n'
-    '   "wald": %s\n'
-    "  }"
-)
-
-
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x):
-    """A float as json.dump writes it: its repr, with NaN, Infinity and -Infinity."""
-    text = float.__repr__(x)
-    return _JSON_NON_FINITE.get(text, text)
-
-
-def _json_block(items, depth, brackets="[]"):
-    """Formatted items as a list (or object) at this nesting depth, as indent=1 lays it out."""
-    if not items:
-        return brackets
-    pad = "\n" + " " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
-
-
-def _json_object(fields, depth):
-    """A dict of formatted values, keys sorted, as indent=1 lays it out."""
-    return _json_block([f"{json.dumps(k)}: {v}" for k, v in sorted(fields.items())], depth, "{}")
-
-
 def result_to_json(result: ScreeningResult, path):
-    """Write the result as json.dump(payload, fh, indent=1, sort_keys=True) would, plus a newline."""
-    names = result.covariate_names
-    records = [
-        _RECORD_JSON
-        % (
-            _json_float(beta),
-            _json_block([_json_float(v) for v in coefficients], 3) if status == CONVERGED else "[]",
-            json.dumps(status),
-            j,
-            iterations,
-            json.dumps(names[j - 1]),
-            _json_float(plik),
-            _json_float(sigma),
-            _json_float(wald),
-        )
-        for j, beta, sigma, wald, plik, status, iterations, coefficients in zip(
-            *(getattr(result, name).tolist() for name in _COLUMNS)
-        )
-    ]
+    """Write the result as one JSON object on one line, keys sorted, plus a newline."""
+    records = []
+    for row in zip(*(getattr(result, name).tolist() for name in _COLUMNS)):
+        record = dict(zip(_COLUMNS, row), name=result.covariate_names[row[0] - 1])
+        if record["fit_status"] != CONVERGED:
+            record["conditioning_coefficients"] = []
+        records.append(record)
     null_fit = result.null_fit
     payload = {
-        "conditioning": _json_block([str(j) for j in result.conditioning.indices], 1),
-        "null_fit": _json_object(
-            {
-                "coefficients": _json_block([_json_float(v) for v in null_fit.coefficients], 2),
-                "loglik": _json_float(null_fit.loglik),
-                "iterations": str(null_fit.iterations),
-                "converged": json.dumps(null_fit.converged),
-            },
-            1,
-        ),
-        "records": _json_block(records, 1),
-        "rankings": _json_object(
-            {name: _json_block(list(map(str, r)), 2) for name, r in result.rankings.items()}, 1
-        ),
+        "conditioning": result.conditioning.indices,
+        "null_fit": {
+            "coefficients": null_fit.coefficients.tolist(),
+            "loglik": null_fit.loglik,
+            "iterations": null_fit.iterations,
+            "converged": null_fit.converged,
+        },
+        "records": records,
+        "rankings": result.rankings,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_object(payload, 0))
+        fh.write(json.dumps(payload, sort_keys=True))  # json.dump would run the pure-Python encoder
         fh.write("\n")

@@ -7,7 +7,7 @@ from coxscreen import baselines, screening, simulate
 from coxscreen.baselines import PSIS_PLIK, PSIS_WALD
 from coxscreen.benchmark import ALL_METHODS, CS_METHODS, _score, run_benchmark, run_replicate
 from coxscreen.data import ConditioningSet
-from coxscreen.errors import ValidationError
+from coxscreen.errors import ConfigError, ValidationError
 from coxscreen.simulate import calibrate_censoring, example_config, gen_replicate
 
 
@@ -84,6 +84,10 @@ class TestRunBenchmark:
         from_array, _ = run_benchmark(config, replicates=1, methods=methods, conditioning=np.array([2, 4]))
         from_text, _ = run_benchmark(config, replicates=1, methods=methods, conditioning="2,4")
         assert from_array == from_text
+
+    def test_non_sequence_conditioning_rejected(self, config):
+        with pytest.raises(ConfigError, match="an index sequence, got 2$"):
+            run_benchmark(config, replicates=1, methods=("cs-wald",), conditioning=2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, config, workers):

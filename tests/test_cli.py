@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from coxscreen.benchmark import ALL_METHODS
 from coxscreen.cli import main
 from coxscreen.data import write_csv
+from coxscreen.screening import STATISTICS
 
 from conftest import random_dataset
 
@@ -78,6 +80,36 @@ def test_unknown_config_key_reported(tmp_path, monkeypatch, capsys):
     assert err.startswith("error category=validation: typo.kv:4: censoring: unknown key; known keys are ")
     assert err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["typo.kv"]
+
+
+BENCH = ["benchmark", "--example", "1", "--n", "30", "--p", "8", "--out", "bench.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["screen", "--input", "toy.csv", "--stats", "bogus", "--out", "res.csv"],
+         f"config: unknown statistic 'bogus'; choose from {STATISTICS}"),
+        (["screen", "--input", "toy.csv", "--stats", "", "--out", "res.csv"],
+         "config: --stats list is empty"),
+        ([*BENCH, "--methods", "bogus"], f"validation: unknown method 'bogus'; choose from {ALL_METHODS}"),
+        ([*BENCH, "--replicates", "0"], "validation: need at least 1 replicate"),
+    ],
+    ids=["stats-bogus", "stats-empty", "methods-bogus", "replicates-zero"],
+)
+def test_bad_flag_value_reported(toy_csv, tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error category={line}\n"
+    assert os.listdir(tmp_path) == ["toy.csv"]
+
+
+def test_non_integer_seed_variable_reported(monkeypatch, capsys):
+    monkeypatch.setenv("COXSCREEN_SEED", "4.5")
+    assert main(["calibrate", "--example", "2", "--n", "50", "--p", "4", "--target", "0.2"]) == 1
+    assert capsys.readouterr().err == (
+        "error category=config: COXSCREEN_SEED must be an integer, got '4.5'\n"
+    )
 
 
 class TestScreenCommand:

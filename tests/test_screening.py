@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,11 @@ class TestParseConditioning:
         with pytest.raises((ValidationError, ConfigError)):
             parse_conditioning(spec)
 
+    @pytest.mark.parametrize("spec", [2, None, np.array(2)], ids=["int", "none", "0d-array"])
+    def test_non_sequence_spec(self, spec):
+        with pytest.raises(ConfigError, match=rf"an index sequence, got {re.escape(repr(spec))}$"):
+            parse_conditioning(spec)
+
 
 class TestSelection:
     def test_threshold_small_gamma_selects_all(self, dataset):
@@ -316,6 +322,17 @@ class TestSelection:
             select_top_k(result, "mple", 6)
         with pytest.raises(ValidationError):
             select_top_k(result, "mple", 0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_threshold_requires_positive_gamma(self, dataset, gamma):
+        result = screen(dataset, ConditioningSet((1,)))
+        with pytest.raises(ValidationError, match="gamma must be positive"):
+            select_by_threshold(result, "mple", gamma)
+
+    def test_top_k_requires_computed_statistic(self, dataset):
+        result = screen(dataset, ConditioningSet((1,)), statistics=("mple",))
+        with pytest.raises(ValidationError, match="statistic 'wald' was not computed"):
+            select_top_k(result, "wald", 1)
 
     def test_default_top_k_values(self):
         assert default_top_k(160) == 31
@@ -378,7 +395,11 @@ class _WriterBytes:
     def assert_same_bytes(self, result, tmp_path):
         self.write(result, tmp_path / "got")
         self.oracle(result, tmp_path / "want")
-        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+        assert (tmp_path / "got").read_bytes() == self.expected_bytes(tmp_path / "want")
+
+    @staticmethod
+    def expected_bytes(oracle_path):
+        return oracle_path.read_bytes()
 
     def dataset_with_failures(self, rng):
         """Column 5 constant (singular given C), column 6 ordered with time (separation)."""
@@ -416,10 +437,15 @@ class _WriterBytes:
 
 
 class TestJSONBytes(_WriterBytes):
-    """result_to_json writes the bytes of json.dump(payload, indent=1, sort_keys=True)."""
+    """result_to_json writes the values of the indent=1 json.dump oracle as one json.dumps line."""
 
     write = staticmethod(result_to_json)
     oracle = staticmethod(json_dump_result_to_json)
+
+    @staticmethod
+    def expected_bytes(oracle_path):
+        with open(oracle_path, encoding="utf-8") as fh:
+            return (json.dumps(json.load(fh), sort_keys=True) + "\n").encode()
 
     def test_no_candidates(self, rng, tmp_path):
         assert '"records": []' in self.written_without_candidates(rng, tmp_path)

@@ -7,7 +7,7 @@ from scipy import special, stats
 
 from coxscreen import simulate
 from coxscreen.cox import fit
-from coxscreen.errors import ValidationError
+from coxscreen.errors import CalibrationError, ValidationError
 from coxscreen.simulate import (
     SimConfig,
     _rng,
@@ -167,6 +167,16 @@ class TestCalibration:
         config = example_config(1, n=50, p=10, seed=1)
         with pytest.raises(ValidationError):
             calibrate_censoring(config, 1.5)
+
+    def test_closest_rate_after_bisection(self):
+        # 5 replicates of n=2 give 10 subjects, so every rate is a multiple of 0.1
+        # and none is within 0.02 of 0.25: the bisection runs out, and the
+        # 5 * tolerance check accepts the rate it ends on
+        config = example_config(2, n=2, seed=3)
+        _, achieved = calibrate_censoring(config, 0.25, replicates=5, tolerance=0.02)
+        assert achieved == 0.3
+        with pytest.raises(CalibrationError, match="calibration did not converge"):
+            calibrate_censoring(config, 0.25, replicates=5, tolerance=0)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"replicates": 0}, "replicates >= 1, got 0"),

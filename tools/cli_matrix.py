@@ -97,6 +97,8 @@ def calls():
                              "--out", "diagnose-quoted.csv"]),
         ("screen-no-candidates", ["screen", "--input", "small.csv", "--conditioning", "1,2,3",
                                   "--out", "screen-no-candidates.csv"]),
+        ("screen-no-candidates-json", ["screen", "--input", "small.csv", "--conditioning", "1,2,3",
+                                       "--format", "json", "--out", "screen-no-candidates-json.json"]),
         ("screen-topk-zero", ["screen", "--input", "tied.csv", "--top-k", "0",
                               "--out", "screen-topk-zero.csv"]),
         ("screen-gamma-nan", ["screen", "--input", "tied.csv", "--gamma", "nan",
