@@ -195,12 +195,15 @@ def parse_conditioning(spec):
     """A ConditioningSet, or AUTO, from a conditioning spec.
 
     The spec is 'none', 'auto', a comma list of 1-based indices, an index
-    sequence or a ConditioningSet.
+    sequence or a ConditioningSet. Bytes-like specs are rejected: their items
+    are character codes, so b"1,2" would read as (49, 44, 50).
     """
     if isinstance(spec, ConditioningSet):
         return spec
     if not isinstance(spec, str):  # before any `==`, which is elementwise on a numpy array
         try:
+            if isinstance(spec, (bytes, bytearray, memoryview)):
+                raise TypeError
             indices = tuple(spec)
         except TypeError:
             raise ConfigError(

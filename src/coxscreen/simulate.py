@@ -193,16 +193,20 @@ def _standard_normal(rng, shape):
 
 
 def gen_covariates(config: SimConfig, rng) -> np.ndarray:
-    """Rows i.i.d. normal with the configured equal-correlation structure."""
+    """Rows i.i.d. normal with the configured equal-correlation structure.
+
+    The shared factor is mixed into the (n, p) draw in place, so the design
+    costs one n-by-p array plus O(n) for the factor.
+    """
     n, p, rho = config.n, config.p, config.rho
-    eps = _standard_normal(rng, (n, p))
+    z = _standard_normal(rng, (n, p))
     if config.correlation == INDEPENDENT or rho == 0.0:
-        return eps
+        return z
     eta = _standard_normal(rng, (n, 1))
-    z = np.sqrt(1.0 - rho) * eps + np.sqrt(rho) * eta
-    if config.correlation == BLOCK_LAST_INDEPENDENT:
-        # first p-1 columns equicorrelated, last column independent
-        z[:, -1] = eps[:, -1]
+    # block_last_independent: first p-1 columns equicorrelated, last column independent
+    mixed = z[:, :-1] if config.correlation == BLOCK_LAST_INDEPENDENT else z
+    mixed *= np.sqrt(1.0 - rho)
+    mixed += np.sqrt(rho) * eta
     return z
 
 
@@ -216,18 +220,28 @@ def _lp_variance(config: SimConfig) -> float:
 
 
 def _event_times(lp, rng):
-    """Exponential times with rate exp(lp), lp clipped at +/-_LP_CLIP; returns (times, clipped)."""
+    """Exponential times with rate exp(lp), lp clipped at +/-_LP_CLIP; returns (times, clipped).
+
+    Works in place: lp is overwritten with exp(clip(lp)), and the times are
+    computed in the buffer of the uniform draws. Pass only a float array
+    that the caller owns and no longer needs, never caller data.
+    """
     clipped = int(np.sum(np.abs(lp) > _LP_CLIP))
-    lp = np.clip(lp, -_LP_CLIP, _LP_CLIP)
-    u = np.maximum(rng.random(lp.shape[0]), 1e-300)
-    return -np.log(u) / np.exp(lp), clipped
+    np.clip(lp, -_LP_CLIP, _LP_CLIP, out=lp)
+    t = rng.random(lp.shape[0])
+    np.maximum(t, 1e-300, out=t)
+    np.log(t, out=t)
+    np.negative(t, out=t)
+    np.exp(lp, out=lp)
+    t /= lp
+    return t, clipped
 
 
 def gen_survival_times(covariates, beta, intercept, rng):
     """Inverse-transform exponential event times for a unit baseline hazard.
 
     Returns (times, clipped) where clipped counts linear predictors truncated
-    at +/-700 to keep exp finite.
+    at +/-700 to keep exp finite. covariates and beta are left unchanged.
     """
     return _event_times(intercept + covariates @ np.asarray(beta, dtype=float), rng)
 
@@ -239,7 +253,11 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
     Monte-Carlo batch of replicates * n subjects is drawn once and reused for
     every candidate, so the search is deterministic given the config seed.
     The batch draws the linear predictors straight from their normal law, so
-    its time and memory do not grow with p. Returns (c, achieved_rate).
+    its time and memory do not grow with p. The draws become predictors and
+    then event times in place, the censoring uniforms reuse the freed
+    buffer, and every candidate c compares through one preallocated product
+    buffer, so the search holds at most three replicates * n float arrays
+    and one boolean array. Returns (c, achieved_rate).
     """
     if target is None:
         target = config.censor_target
@@ -251,12 +269,18 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
         raise ValidationError(f"calibration tolerance must be >= 0, got {tolerance}")
     rng = _rng(config.seed, 0, _STREAM_CALIBRATION)
     batch = replicates * config.n
-    lp = config.intercept + np.sqrt(_lp_variance(config)) * _standard_normal(rng, batch)
+    lp = _standard_normal(rng, batch)
+    lp *= np.sqrt(_lp_variance(config))
+    lp += config.intercept
     t, _ = _event_times(lp, rng)
-    u = rng.random(batch)
+    u = rng.random(batch, out=lp)  # the censoring uniforms, drawn into the spent exp(lp)
+    product = np.empty(batch)
+    above = np.empty(batch, dtype=bool)
 
     def rate(c):
-        return float(np.mean(t > c * u))
+        np.multiply(c, u, out=product)
+        np.greater(t, product, out=above)
+        return int(np.count_nonzero(above)) / batch  # the float np.mean(t > c * u) gives
 
     lo, hi = 1e-6, 1e6
     if rate(lo) < target or rate(hi) > target:

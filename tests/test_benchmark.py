@@ -89,6 +89,11 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError, match="an index sequence, got 2$"):
             run_benchmark(config, replicates=1, methods=("cs-wald",), conditioning=2)
 
+    def test_bytes_conditioning_rejected(self, config):
+        # iterating b"1" gives the character code 49, not the index 1
+        with pytest.raises(ConfigError, match=r"an index sequence, got b'1'$"):
+            run_benchmark(config, replicates=1, methods=("cs-wald",), conditioning=b"1")
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, config, workers):
         with pytest.raises(ValidationError, match="at least 1 worker"):

@@ -283,7 +283,11 @@ class TestParseConditioning:
         with pytest.raises((ValidationError, ConfigError)):
             parse_conditioning(spec)
 
-    @pytest.mark.parametrize("spec", [2, None, np.array(2)], ids=["int", "none", "0d-array"])
+    @pytest.mark.parametrize(
+        "spec",
+        [2, None, np.array(2), b"1,2", bytearray(b"1"), memoryview(b"1,2")],
+        ids=["int", "none", "0d-array", "bytes", "bytearray", "memoryview"],
+    )
     def test_non_sequence_spec(self, spec):
         with pytest.raises(ConfigError, match=rf"an index sequence, got {re.escape(repr(spec))}$"):
             parse_conditioning(spec)

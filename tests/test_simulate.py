@@ -130,6 +130,18 @@ class TestSurvivalTimes:
             expected = np.log(2) * np.exp(-beta[0] * z_value)
             assert np.median(t) == pytest.approx(expected, rel=0.05)
 
+    def test_arguments_left_unchanged(self):
+        # the event times are computed in place, in buffers the caller never sees
+        z = _rng(5, 0, 0).normal(size=(50, 3))
+        z[:4] = 400.0  # clipped rows as well
+        beta = np.array([1.0, -0.5, 2.0])
+        z_before, beta_before = z.copy(), beta.copy()
+        t, clipped = gen_survival_times(z, beta, 0.3, _rng(6, 0, 0))
+        assert clipped == 4
+        assert z.tobytes() == z_before.tobytes()
+        assert beta.tobytes() == beta_before.tobytes()
+        assert not np.shares_memory(t, z) and not np.shares_memory(t, beta)
+
     def test_extreme_predictor_clipped(self):
         z = np.full((10, 1), 100.0)
         z[5:] = -100.0
@@ -216,14 +228,26 @@ def _calibration_configs(tmp_path):
 
 
 # c of the full-matrix batch (`full_matrix_calibrate_censoring`) at the
-# calibrated configs of tests/test_acceptance.py and of the perfbench
-# `montecarlo` design; keyed by (example, n, p, seed), all at target 0.2.
+# calibrated configs of tests/test_acceptance.py, of the perfbench
+# `montecarlo` design and of the calibration memory test; keyed by
+# (example, n, p, seed), all at target 0.2.
 _ORACLE_C = {
     **{(1, n, 1000, 0): "0x1.97ba3c1babe95p+4" for n in (50, 100, 200, 400, 800)},
     (2, 100, 1000, 0): "0x1.40dd00455b171p+14",
     (3, 100, 1000, 0): "0x1.40dd00455b171p+14",
     **{(1, 400, 100, seed): "0x1.97ba3c1babe95p+4" for seed in (1, 2, 3)},
+    (1, 2000, 100, 1): "0x1.97ba3c1babe95p+4",
 }
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def _held_out_rate(config, c, rows=2000, draws=10):
@@ -271,26 +295,20 @@ class TestCalibrationOracle:
     def test_memory_does_not_grow_with_p(self):
         # the full (200 n, p) batch alone would take 200 * 20 * 5000 * 8 bytes = 160 MB
         config = example_config(1, n=20, p=5000, seed=2)
-        tracemalloc.start()
-        try:
-            calibrate_censoring(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert _traced_peak(lambda: calibrate_censoring(config)) < 32 * 2**20
+
+    def test_batch_held_in_a_fixed_number_of_arrays(self):
+        # event times, censoring uniforms and one product buffer, plus a boolean mask
+        config = example_config(1, n=2000, p=100, seed=1)
+        batch_bytes = 200 * config.n * 8
+        assert _traced_peak(lambda: calibrate_censoring(config)) <= 3.5 * batch_bytes
 
     def test_draws_and_memory_do_not_grow_with_p(self, monkeypatch):
         # 200 n predictors, event-time and censoring uniforms: 3 * 200 * 20 draws at p = 10**6
         config = example_config(1, n=20, p=10**6, seed=2)
         streams = []
         monkeypatch.setattr(simulate, "_rng", lambda *key: streams.append(_rng(*key)) or streams[-1])
-        tracemalloc.start()
-        try:
-            calibrate_censoring(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert _traced_peak(lambda: calibrate_censoring(config)) < 32 * 2**20
         expected = _rng(config.seed, 0, simulate._STREAM_CALIBRATION)
         expected.random(3 * 200 * config.n)
         assert len(streams) == 1
@@ -310,6 +328,14 @@ class TestBlockedCovariates:
 
 
 class TestReplicates:
+    @pytest.mark.parametrize("example", [1, 3])
+    def test_design_mixed_in_place(self, example):
+        # one n-by-p array for the design, the shared factor mixed in place,
+        # plus _ndtri's fixed-size block temporaries
+        config = replace(example_config(example, n=100, p=1000, seed=1), censor_upper=3.0)
+        matrix_bytes = config.n * config.p * 8
+        assert _traced_peak(lambda: gen_replicate(config, 0)) <= 2.5 * matrix_bytes
+
     def test_deterministic(self):
         config = example_config(1, n=50, p=10, censor_target=0.2, seed=21)
         a = gen_replicate(config, 3)
