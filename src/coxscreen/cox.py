@@ -78,16 +78,17 @@ class BatchFit:
 class _SortedView:
     """Per-dataset precomputation shared by all likelihood evaluations.
 
-    Covariates are stored one contiguous row per column, in descending time
-    order, so a forward cumulative sum gives every risk-set sum.
+    It keeps the descending-time order of the rows and the event structure,
+    not the covariates: ``_gather`` copies the columns a call needs into one
+    contiguous row per column, in that order, so a forward cumulative sum
+    gives every risk-set sum.
     """
 
     def __init__(self, dataset: SurvivalDataset):
-        order = dataset.sorted_index[::-1]
+        self.order = dataset.sorted_index[::-1].copy()
         self.n = dataset.n
-        self.rows = np.ascontiguousarray(dataset.covariates[order].T)
-        time = dataset.time[order]
-        events = np.nonzero(dataset.status[order] == 1)[0][::-1]  # ascending time
+        time = dataset.time[self.order]
+        events = np.nonzero(dataset.status[self.order] == 1)[0][::-1]  # ascending time
         # last position of each tied-time group: the Breslow risk set ends there
         _, first_idx, inverse = np.unique(time[::-1], return_index=True, return_inverse=True)
         self.event_pos = events
@@ -103,8 +104,18 @@ def _sorted_view(dataset: SurvivalDataset) -> _SortedView:
     return view
 
 
-def _rows(view: _SortedView, columns):
-    return [view.rows[int(j) - 1] for j in columns]
+def _gather(dataset: SurvivalDataset, columns):
+    """The given 1-based columns as one contiguous (len(columns), n) array, rows in descending time.
+
+    The columns are taken first, which reads each covariate row once, and the
+    time order is then applied to that (n, len(columns)) copy.
+    """
+    columns = np.asarray(columns, dtype=int) - 1
+    return dataset.covariates.take(columns, axis=1).T.take(_sorted_view(dataset).order, axis=1)
+
+
+def _rows(dataset: SurvivalDataset, columns):
+    return list(_gather(dataset, columns))
 
 
 def _weights(view: _SortedView, rows, beta):
@@ -133,6 +144,13 @@ def _loglik(view: _SortedView, rows, beta):
     return _loglik_at(view, eta, s0)
 
 
+def _risk_set_sums(view: _SortedView, cumulative, s0):
+    """A cumulative sum over the descending-time rows taken at each event's risk set, over s0."""
+    sums = cumulative.take(view.event_groups, axis=1)
+    sums /= s0
+    return sums
+
+
 def _score_info(view: _SortedView, rows, w, s0):
     """Score vectors (m, d) and observed information matrices (m, d, d) from _weights' w and s0.
 
@@ -143,14 +161,16 @@ def _score_info(view: _SortedView, rows, w, s0):
     m = len(rows[-1]) if rows and rows[-1].ndim == 2 else len(w)
     d = len(rows)
     weighted = [w * row for row in rows]
-    means = [np.cumsum(wz, axis=1).take(view.event_groups, axis=1) / s0 for wz in weighted]
+    means = [_risk_set_sums(view, np.cumsum(wz, axis=1), s0) for wz in weighted]
     score = np.empty((m, d))
     info = np.empty((m, d, d))
     for a in range(d):
         score[:, a] = np.sum(rows[a].take(view.event_pos, axis=-1) - means[a], axis=1)
         for b in range(a, d):
-            s2 = np.cumsum(weighted[a] * rows[b], axis=1).take(view.event_groups, axis=1)
-            info[:, a, b] = info[:, b, a] = np.sum(s2 / s0 - means[a] * means[b], axis=1)
+            product = weighted[a] * rows[b]
+            s2 = _risk_set_sums(view, np.cumsum(product, axis=1, out=product), s0)
+            s2 -= means[a] * means[b]
+            info[:, a, b] = info[:, b, a] = np.sum(s2, axis=1)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
         finite = np.logical_and.reduce([np.isfinite(mean).all(axis=0) for mean in means])
         bad = np.nonzero(~finite)[0]
@@ -200,7 +220,7 @@ def log_partial_likelihood(dataset: SurvivalDataset, columns, beta) -> float:
     if beta.shape[0] != len(columns):
         raise ValidationError("beta length must match the number of columns")
     view = _sorted_view(dataset)
-    ll = float(_loglik(view, _rows(view, columns), beta[None])[0])
+    ll = float(_loglik(view, _rows(dataset, columns), beta[None])[0])
     if not np.isfinite(ll):
         raise ValidationError("non-finite log partial likelihood")
     return ll
@@ -212,7 +232,7 @@ def score_and_information(dataset: SurvivalDataset, columns, beta):
     if beta.shape[0] != len(columns):
         raise ValidationError("beta length must match the number of columns")
     view = _sorted_view(dataset)
-    rows = _rows(view, columns)
+    rows = _rows(dataset, columns)
     _, w, s0 = _weights(view, rows, beta[None])
     score, info = _score_info(view, rows, w, s0)
     return score[0], info[0]
@@ -246,7 +266,7 @@ def fit(
     d = len(columns)
     _check_dimension(dataset, d)
     view = _sorted_view(dataset)
-    rows = _rows(view, columns)
+    rows = _rows(dataset, columns)
     beta = _initial(init, d)
     if d == 0:
         ll = log_partial_likelihood(dataset, columns, beta)
@@ -288,12 +308,12 @@ def fit_batch(
     d = len(columns) + 1
     _check_dimension(dataset, d)
     view = _sorted_view(dataset)
-    cond_rows = _rows(view, columns)
+    cond_rows = _rows(dataset, columns)
     beta = _initial(init, d)
     candidates = np.asarray(candidates, dtype=int)
     size = max(_MIN_CHUNK, _CHUNK_ELEMENTS // view.n)
     parts = [
-        _newton(view, cond_rows, view.rows[candidates[start : start + size] - 1], control, beta)
+        _newton(view, cond_rows, _gather(dataset, candidates[start : start + size]), control, beta)
         for start in range(0, max(len(candidates), 1), size)
     ]
     beta, ll, _, info, iterations, status = (np.concatenate(arrays) for arrays in zip(*parts))

@@ -180,6 +180,10 @@ def _parse_cell(text, row, col_name):
     return value
 
 
+# read_csv reads the body in blocks of whole lines of about this many characters
+_BLOCK_CHARS = 1 << 16
+
+
 def _bulk_table(lines, width):
     """All cells of the lines as an (n, width) float table, or None to parse cell by cell.
 
@@ -187,10 +191,12 @@ def _bulk_table(lines, width):
     whitespace, and rejects quotes, underscores and non-ASCII digits. So a
     table it returns holds float(cell) bit for bit, once two cases are ruled
     out first: it strips the ASCII separators 0x1C-0x1F as whitespace, which
-    float() rejects, and it warns when every line is blank.
+    float() rejects, and it warns when every line is blank, so an all-blank
+    block is returned as no rows without calling it. Every line of a table it
+    returns is one csv row, as it rejects quotes.
     """
     if all(line in ("\n", "\r\n", "\r") for line in lines):
-        return None
+        return np.empty((0, width))
     if any(sep in line for line in lines for sep in "\x1c\x1d\x1e\x1f"):
         return None
     try:
@@ -202,10 +208,13 @@ def _bulk_table(lines, width):
     return table
 
 
-def _per_cell_table(lines, header, columns, path):
-    """The cells of the given columns, one float() per cell; raises on the first bad cell."""
+def _per_cell_table(lines, header, columns, path, first_row):
+    """The cells of the given columns, one float() per cell; raises on the first bad cell.
+
+    The first line is file row first_row.
+    """
     rows = []
-    for row_num, row in enumerate(csv.reader(lines), start=2):
+    for row_num, row in enumerate(csv.reader(lines), start=first_row):
         if not row:
             continue
         if len(row) != len(header):
@@ -215,19 +224,30 @@ def _per_cell_table(lines, header, columns, path):
 
 
 def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
-    """Load a dataset from a comma-separated UTF-8 file with a header row."""
+    """Load a dataset from a comma-separated UTF-8 file with a header row.
+
+    The body is read a block of lines at a time, so besides the dataset the
+    reader holds one block of lines and the parsed rows.
+    """
     try:
-        cov_names, table = _read_table(path, schema)
+        cov_names, blocks = _read_blocks(path, schema)
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over csv's field limit
         raise CSVParseError(f"{path}: {exc}") from None
-    if table.shape[0] < 2:
-        raise ValidationError(f"{path}: need at least 2 data rows, got {table.shape[0]}")
+    rows = sum(len(block) for block in blocks)
+    if rows < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {rows}")
     # C-contiguous copies: numpy and BLAS may sum in another order over strided views
-    return SurvivalDataset(table[:, 0].copy(), table[:, 1].copy(), table[:, 2:].copy(), cov_names)
+    time, status, covariates = (np.concatenate([b[:, k] for b in blocks]) for k in (0, 1, slice(2, None)))
+    blocks.clear()  # before SurvivalDataset's checks, which take temporaries of the covariates' shape
+    return SurvivalDataset(time, status, covariates, cov_names)
 
 
-def _read_table(path, schema):
-    """(covariate names, table of the time, status and covariate columns in that order)."""
+def _read_blocks(path, schema):
+    """(covariate names, tables of the time, status and covariate columns in that order).
+
+    Each block of lines is parsed in bulk. From the first block the bulk path
+    rejects, that block and the rest of the file are parsed cell by cell.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -247,13 +267,20 @@ def _read_table(path, schema):
         if len(pos) < len(header):
             duplicate = next(name for k, name in enumerate(header) if pos[name] != k)
             raise CSVParseError(f"{path}: duplicate column '{duplicate}'")
-        lines = fh.readlines()
 
-    columns = [pos[schema.time_col], pos[schema.status_col], *(pos[name] for name in cov_names)]
-    table = _bulk_table(lines, len(header))
-    if table is None:
-        return cov_names, _per_cell_table(lines, header, columns, path)
-    return cov_names, table[:, columns]
+        columns = [pos[schema.time_col], pos[schema.status_col], *(pos[name] for name in cov_names)]
+        blocks = []
+        row = 2  # the file row of the block's first line
+        while lines := fh.readlines(_BLOCK_CHARS):
+            table = _bulk_table(lines, len(header))
+            if table is None:
+                # the rest is read before parsing, so an undecodable byte anywhere still wins
+                lines += fh.readlines()
+                blocks.append(_per_cell_table(lines, header, columns, path, row))
+                break
+            blocks.append(table.take(columns, axis=1))
+            row += len(lines)
+    return cov_names, blocks
 
 
 def write_rows(path, header, rows):

@@ -40,6 +40,7 @@ class CovariateScreenRecord:
 
 
 _COLUMNS = tuple(f.name for f in fields(CovariateScreenRecord))
+_JSON_ROWS = 256  # result_to_json converts this many rows of the columns at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +105,8 @@ def screen(
 ) -> ScreeningResult:
     """Fit every (q+1)-dimensional marginal model and rank the candidates.
 
-    All candidates run in one in-process ``cox.fit_batch`` call. ``workers`` is
+    Every candidate but the constant ones runs in one in-process
+    ``cox.fit_batch`` call; a constant candidate is SINGULAR. ``workers`` is
     not a setting: it accepts only 1, so existing ``workers=1`` calls still run.
     """
     if workers != 1:
@@ -127,9 +129,18 @@ def screen(
         raise NonIdentifiableError("null model on the conditioning set did not converge")
 
     candidates = np.array(conditioning.complement(dataset.p), dtype=int)
-    batch = cox.fit_batch(
-        dataset, conditioning.indices, candidates, control, np.append(null_fit.coefficients, 0.0)
+    # a constant candidate adds nothing to C: it is SINGULAR on every input, so it is not fitted
+    varies = ~np.isin(candidates, report.constant_columns)
+    fitted_rows = cox.fit_batch(
+        dataset, conditioning.indices, candidates[varies], control, np.append(null_fit.coefficients, 0.0)
     )
+    m = len(candidates)
+    batch = cox.BatchFit(
+        np.full((m, conditioning.q + 1), np.nan), np.full(m, np.nan), np.full(m, np.nan),
+        np.zeros(m, dtype=int), np.full(m, SINGULAR, dtype=object),
+    )
+    for field in fields(cox.BatchFit):
+        getattr(batch, field.name)[varies] = getattr(fitted_rows, field.name)
     coefficients, variance, status = batch.coefficients, batch.variance, batch.status
     fitted = status == CONVERGED
     singular = fitted & ~(np.isfinite(variance) & (variance > 0))
@@ -242,15 +253,17 @@ def result_to_csv(result: ScreeningResult, path):
 
 
 def result_to_json(result: ScreeningResult, path):
-    """Write the result as one JSON object on one line, keys sorted, plus a newline."""
-    records = []
-    for row in zip(*(getattr(result, name).tolist() for name in _COLUMNS)):
-        record = dict(zip(_COLUMNS, row), name=result.covariate_names[row[0] - 1])
-        if record["fit_status"] != CONVERGED:
-            record["conditioning_coefficients"] = []
-        records.append(record)
+    """Write the result as one JSON object on one line, keys sorted, plus a newline.
+
+    The bytes are those of one ``json.dumps(payload, sort_keys=True)``, but the
+    records are encoded one at a time: "records" sorts last, so the other keys
+    are encoded first and then each record, joined by ", ". The columns are
+    converted to Python values _JSON_ROWS rows at a time.
+    """
+    # json.dumps(obj, sort_keys=True) returns this encoder's encode(obj), building the encoder anew
+    encode = json.JSONEncoder(sort_keys=True).encode
     null_fit = result.null_fit
-    payload = {
+    head = {
         "conditioning": result.conditioning.indices,
         "null_fit": {
             "coefficients": null_fit.coefficients.tolist(),
@@ -258,9 +271,17 @@ def result_to_json(result: ScreeningResult, path):
             "iterations": null_fit.iterations,
             "converged": null_fit.converged,
         },
-        "records": records,
         "rankings": result.rankings,
     }
+    columns = [getattr(result, name) for name in _COLUMNS]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))  # json.dump would run the pure-Python encoder
-        fh.write("\n")
+        fh.write(encode(head)[:-1] + ', "records": [')
+        separator = ""
+        for start in range(0, len(result.index), _JSON_ROWS):
+            for row in zip(*(column[start : start + _JSON_ROWS].tolist() for column in columns)):
+                record = dict(zip(_COLUMNS, row), name=result.covariate_names[row[0] - 1])
+                if record["fit_status"] != CONVERGED:
+                    record["conditioning_coefficients"] = []
+                fh.write(separator + encode(record))
+                separator = ", "
+        fh.write("]}\n")

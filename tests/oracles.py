@@ -348,7 +348,7 @@ def newton_loop_fit(dataset, columns, control=cox.FitControl(), init=None):
     d = len(columns)
     cox._check_dimension(dataset, d)
     view = cox._sorted_view(dataset)
-    rows = cox._rows(view, columns)
+    rows = cox._rows(dataset, columns)
     beta = cox._initial(init, d)
 
     ll = cox.log_partial_likelihood(dataset, columns, beta)
@@ -425,13 +425,20 @@ def _fit_one(dataset, columns, control, init, null_loglik):
 
 
 def per_candidate_screen(dataset, conditioning, control=cox.FitControl()):
-    """Screening records from one newton_loop_fit per candidate, warm-started from the null fit."""
+    """Screening records from one newton_loop_fit per candidate, warm-started from the null fit.
+
+    A constant candidate is not fitted: it is singular whatever C is.
+    """
     null_fit = newton_loop_fit(dataset, conditioning.indices, control)
     init = np.append(null_fit.coefficients, 0.0)
-    return [
-        _fit_one(dataset, list(conditioning.indices) + [j], control, init, null_fit.loglik)
-        for j in conditioning.complement(dataset.p)
-    ]
+    nan = float("nan")
+    records = []
+    for j in conditioning.complement(dataset.p):
+        if np.ptp(dataset.column(j)) == 0:
+            records.append(CovariateScreenRecord(j, nan, nan, nan, nan, SINGULAR, 0))
+        else:
+            records.append(_fit_one(dataset, list(conditioning.indices) + [j], control, init, null_fit.loglik))
+    return records
 
 
 def _parse_cell(text, row, col_name):

@@ -49,9 +49,10 @@ def test_tiny_grid_schema(tmp_path, capsys):
         if name.startswith("screening.screen["):
             assert layer["units_per_call"] == layer["params"]["p"] - layer["params"]["q"], name
 
-    assert set(report["memory"]) == {"simulate.calibrate_censoring", "simulate.gen_replicate"}
+    assert set(report["memory"]) == {"simulate.calibrate_censoring", "simulate.gen_replicate", "data.read_csv",
+                                     "screening.screen", "screening.result_to_json"}
     for name, peak in report["memory"].items():
         assert set(peak) == MEMORY_KEYS, name
         assert peak["traced_peak_bytes"] > 0
         assert math.isclose(peak["arrays"], peak["traced_peak_bytes"] / peak["array_bytes"])
-    assert len(capsys.readouterr().out.splitlines()) == len(expected) + 2
+    assert len(capsys.readouterr().out.splitlines()) == len(expected) + len(report["memory"])

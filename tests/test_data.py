@@ -328,6 +328,105 @@ class TestReadCSVOracle:
         assert_same_outcome(path)
 
 
+class TestReadCSVInBlocks:
+    """read_csv with blocks of a few dozen characters or less, so every file spans many blocks."""
+
+    @staticmethod
+    def body(rows, row_text=lambda k: f"{k + 1}.5,{k % 2},0.{k},-{k}e-3"):
+        return "time,status,z1,z2\n" + "".join(row_text(k) + "\n" for k in range(rows))
+
+    @staticmethod
+    def record_per_cell_start(monkeypatch):
+        """The first_row of every call to the per-cell parser."""
+        starts = []
+        real = data._per_cell_table
+
+        def recording(lines, header, columns, path, first_row):
+            starts.append(first_row)
+            return real(lines, header, columns, path, first_row)
+
+        monkeypatch.setattr(data, "_per_cell_table", recording)
+        return starts
+
+    @pytest.mark.filterwarnings("error")
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(text=csv_texts(), block=st.sampled_from([1, 24, 48]))
+    def test_matches_per_cell_reader(self, tmp_path, monkeypatch, text, block):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block)
+        path = tmp_path / "h.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_odd_cell_in_a_late_block_matches_per_cell_reader(self, tmp_path, monkeypatch, cell):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 30)
+        path = tmp_path / "d.csv"
+        path.write_text(self.body(20, lambda k: f"{k}.5,1,{cell if k == 15 else k},2"), encoding="utf-8")
+        assert_same_outcome(path)
+
+    def test_written_file_is_read_in_bulk_blocks(self, tmp_path, rng, monkeypatch):
+        ds = random_dataset(rng, 30, 5, censor_upper=2.0)
+        path = tmp_path / "rt.csv"
+        write_csv(ds, path)
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 40)
+        starts = self.record_per_cell_start(monkeypatch)
+        sizes = []
+        real_bulk = data._bulk_table
+        monkeypatch.setattr(data, "_bulk_table", lambda lines, width: sizes.append(len(lines)) or real_bulk(lines, width))
+        assert read_outcome(read_csv, path) == read_outcome(per_cell_read_csv, path)
+        assert starts == [] and sum(sizes) == 30 and len(sizes) >= 10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [1, 8, 20, 40])
+    def test_blank_lines_at_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block)
+        starts = self.record_per_cell_start(monkeypatch)
+        blanks = ["\n", "\r\n", "\r", "\n\n\n", "\r\n\r"]
+        text = self.body(12, lambda k: blanks[k % len(blanks)] + f"{k}.5,1,{k},2")
+        path = tmp_path / "d.csv"
+        path.write_text(text + "\n\n", newline="")
+        assert_same_outcome(path)
+        assert read_csv(path).n == 12 and starts == []
+
+    def test_quoted_cell_in_a_late_block_is_read_per_cell_from_there(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 1)  # one line per block
+        starts = self.record_per_cell_start(monkeypatch)
+        path = tmp_path / "d.csv"
+        quoted = {24: '24.5,1,"0.25",24', 27: '27.5,1,27,"27"'}
+        path.write_text(self.body(30, lambda k: quoted.get(k, f"{k}.5,1,{k},{k}")))
+        ds = read_csv(path)
+        assert starts == [26]  # data row k is file row k + 2
+        assert ds.covariates[24:28].tolist() == [[0.25, 24.0], [25.0, 25.0], [26.0, 26.0], [27.0, 27.0]]
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("block", [1, 30, 1 << 16])
+    @pytest.mark.parametrize("bad, message", [
+        ("3.5,1,abc,2", "row 28, column 'z1': cannot parse 'abc'"),
+        ("3.5,1,inf,2", "row 28, column 'z1': non-finite value 'inf'"),
+        ("3.5,1,2", "row 28 has 3 cells, expected 4"),
+    ])
+    def test_bad_cell_in_a_late_block(self, tmp_path, monkeypatch, block, bad, message):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block)
+        # blank lines count as file rows: data row k sits at file row k + 2 + k // 10
+        path = tmp_path / "d.csv"
+        path.write_text(self.body(30, lambda k: ("\n" if k % 10 == 9 else "") + (bad if k == 24 else f"{k}.5,1,{k},2")))
+        with pytest.raises(CSVParseError, match=re.escape(message)):
+            read_csv(path)
+        assert_same_outcome(path)
+
+    def test_undecodable_byte_after_a_bad_cell_still_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(self.body(30, lambda k: "1.5,1,abc,2" if k == 3 else f"{k}.5,1,{k},2").encode()
+                         + b"9.5,1,0.\xff1,2\n")
+        with pytest.raises(CSVParseError, match="can't decode byte 0xff"):
+            read_csv(path)
+
+
 class TestConditioningSet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError, match="distinct"):

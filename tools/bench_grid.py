@@ -7,9 +7,11 @@ Usage:
 Each layer is called once to warm up, then timed over a fixed number of
 repeats, each of enough calls to fill a minimum time. The JSON file gives,
 per layer, the median and interquartile range of the seconds per call, the
-unit of work, the units per call and the seconds per unit. It also gives the tracemalloc
-peak of one censoring calibration and of one ``gen_replicate``, in bytes and
-in arrays of the batch or design size, and the host facts that
+unit of work, the units per call and the seconds per unit. It also gives the
+tracemalloc peak of one censoring calibration, one ``gen_replicate``, one
+``read_csv``, the first ``screen`` of a dataset at q=1 and one
+``result_to_json``, in bytes and in arrays of the batch or design size (of
+the written file, for the JSON writer), and the host facts that
 ``perfbench/run.py`` records. ``--size tiny`` runs every layer on small
 inputs, for a smoke test.
 
@@ -43,7 +45,7 @@ if __name__ == "__main__":  # one BLAS thread, as perfbench/run.py pins it; set 
 
 import numpy as np  # noqa: E402
 
-from coxscreen import baselines, benchmark, cox, diagnostics, screening, simulate  # noqa: E402
+from coxscreen import baselines, benchmark, cox, data, diagnostics, screening, simulate  # noqa: E402
 from coxscreen.data import ConditioningSet  # noqa: E402
 
 SEED = 16
@@ -168,15 +170,33 @@ def layer_calls(size, workdir):
            "replicates", 1, lambda: benchmark.run_replicate(job))
 
 
-def memory(size):
-    """tracemalloc peaks of one calibration and one replicate."""
-    calibrate, rep = _calibration_config(SIZES[size]), _replicate_config(SIZES[size])
+def memory(size, workdir):
+    """tracemalloc peaks of one calibration, one replicate and each step of the screen path."""
+    spec = SIZES[size]
+    calibrate, rep = _calibration_config(spec), _replicate_config(spec)
+    n, p = spec["replicate"]
+    ds, cond = _dataset(n, p), ConditioningSet((1,))
+    csv_path, json_path = Path(workdir) / "memory.csv", Path(workdir) / "memory.json"
+    data.write_csv(ds, csv_path)
+    result = screening.screen(ds, cond)
+    screening.result_to_json(result, json_path)
+
+    def fresh_screen():
+        ds._sorted_cache = None  # the call builds the sorted view, as the first screen of a dataset does
+        return screening.screen(ds, cond)
+
+    design = {"n": n, "p": p}
     return {
         "simulate.calibrate_censoring": _traced_peak(
             lambda: simulate.calibrate_censoring(calibrate),
             {"n": calibrate.n}, "200 n floats", 200 * calibrate.n * 8),
         "simulate.gen_replicate": _traced_peak(
             lambda: simulate.gen_replicate(rep, 1), {"n": rep.n, "p": rep.p}, "n p floats", rep.n * rep.p * 8),
+        "data.read_csv": _traced_peak(lambda: data.read_csv(csv_path), design, "n p floats", n * p * 8),
+        "screening.screen": _traced_peak(fresh_screen, {**design, "q": 1}, "n p floats", n * p * 8),
+        "screening.result_to_json": _traced_peak(
+            lambda: screening.result_to_json(result, json_path), {**design, "q": 1}, "file bytes",
+            json_path.stat().st_size),
     }
 
 
@@ -210,8 +230,8 @@ def run_grid(size="full"):
             layers[name] = {"params": params, "unit": unit, "units_per_call": units,
                             "calls_per_repeat": number, "repeats": repeats,
                             "median_s": median, "iqr_s": iqr, "s_per_unit": median / units}
-    return {"size": size, "seed": SEED, "machine": machine_info(), "layers": layers,
-            "memory": memory(size)}
+        peaks = memory(size, workdir)
+    return {"size": size, "seed": SEED, "machine": machine_info(), "layers": layers, "memory": peaks}
 
 
 def main(argv=None):
