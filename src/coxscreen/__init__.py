@@ -8,7 +8,7 @@ CS-MPLE, CS-Wald and CS-PLIK statistics, alongside marginal baselines
 
 from .baselines import BaselineResult, cors, cris, ipw_weights
 from .benchmark import ALL_METHODS, run_benchmark
-from .cox import CoxFit, FitControl, fit, log_partial_likelihood, score_and_information
+from .cox import CoxFit, fit, log_partial_likelihood, score_and_information
 from .data import (
     ColumnSchema,
     ConditioningSet,

@@ -6,10 +6,15 @@ marginal fits of a screening sweep, not for wide models.
 
 One damped Newton engine, ``_newton``, fits a stack of models that share
 the columns C and differ in one last column, one row per model, each row with
-its own step length, iteration count and status. ``fit_batch`` runs it on
-C + {j} for a chunk of candidates j at a time and reports a failed fit as a
-status; ``fit`` runs it on a single row and raises instead. A model therefore
-gets the same numbers from either, and from any chunk it is batched with.
+its own step length, iteration count and status. Every row starts with the
+candidate's coefficient at 0. ``fit_batch`` runs it on C + {j} for a chunk of
+candidates j at a time, from (start, 0), and reports a failed fit as a
+status; ``fit`` runs it on a single row from 0 and raises instead. A model
+therefore gets the same numbers from either, given the same start, and from
+any chunk it is batched with. The iteration's settings are fixed module
+constants: at most _MAX_ITERATIONS steps, each halved up to
+_STEP_HALVING_LIMIT times, converged at a score norm of _SCORE_TOLERANCE,
+and SEPARATION past a |coefficient| of _COEFFICIENT_BOUND.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ import numpy as np
 from .data import SurvivalDataset
 from .errors import NonIdentifiableError, SeparationError, ValidationError
 
+# The Newton settings. _COEFFICIENT_BOUND, like _CONDITION_LIMIT, applies in the
+# units of the raw covariate columns, so neither is invariant to a column's scale.
+_MAX_ITERATIONS = 50
+_SCORE_TOLERANCE = 1e-8  # a fit converges when the norm of its score is at most this
+_STEP_HALVING_LIMIT = 20  # trial steps per iteration before a row stops iterating
+_COEFFICIENT_BOUND = 50.0  # a row with a |beta| above it is SEPARATION
 _CONDITION_LIMIT = 1e12
 # fit_batch takes _CHUNK_ELEMENTS // n candidates at a time, but at least _MIN_CHUNK
 _CHUNK_ELEMENTS = 1 << 14
@@ -30,23 +41,6 @@ CONVERGED = "converged"
 SEPARATION = "separation"
 SINGULAR = "singular"
 NOT_CONVERGED = "not_converged"
-
-
-@dataclass(frozen=True)
-class FitControl:
-    max_iterations: int = 50
-    score_tolerance: float = 1e-8
-    step_halving_limit: int = 20
-    coefficient_bound: float = 50.0
-
-    def __post_init__(self):
-        if (
-            self.max_iterations <= 0
-            or self.score_tolerance <= 0
-            or self.step_halving_limit <= 0
-            or self.coefficient_bound <= 0
-        ):
-            raise ValidationError("all FitControl fields must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,36 +237,22 @@ def _check_dimension(dataset, d):
         raise ValidationError(f"model dimension {d} too large for n={dataset.n}")
 
 
-def _initial(init, d):
-    if init is None:
-        return np.zeros(d)
-    beta = np.array(init, dtype=float)
-    if beta.shape != (d,):
-        raise ValidationError("init length must match the number of columns")
-    return beta
-
-
-def fit(
-    dataset: SurvivalDataset,
-    columns,
-    control: FitControl = FitControl(),
-    init=None,
-) -> CoxFit:
-    """Maximize the partial likelihood over the given columns by damped Newton.
+def fit(dataset: SurvivalDataset, columns) -> CoxFit:
+    """Maximize the partial likelihood over the given columns by damped Newton from 0.
 
     This is fit_batch's iteration on a single row; a SEPARATION row raises
     SeparationError and a SINGULAR row NonIdentifiableError.
     """
     d = len(columns)
     _check_dimension(dataset, d)
-    view = _sorted_view(dataset)
-    rows = _rows(dataset, columns)
-    beta = _initial(init, d)
     if d == 0:
-        ll = log_partial_likelihood(dataset, columns, beta)
-        return CoxFit(beta, ll, 0.0, np.zeros((0, 0)), np.zeros(0), 0, True)
+        ll = log_partial_likelihood(dataset, columns, np.zeros(0))
+        return CoxFit(np.zeros(0), ll, 0.0, np.zeros((0, 0)), np.zeros(0), 0, True)
 
-    beta, ll, score, info, iterations, status = _newton(view, rows[:-1], rows[-1][None], control, beta)
+    rows = _rows(dataset, columns)
+    beta, ll, score, info, iterations, status = _newton(
+        _sorted_view(dataset), rows[:-1], rows[-1][None], np.zeros(d - 1)
+    )
     if status[0] == SEPARATION:
         raise SeparationError(int(np.argmax(np.abs(beta[0]))))
     if status[0] == SINGULAR:
@@ -288,33 +268,30 @@ def fit(
     )
 
 
-def fit_batch(
-    dataset: SurvivalDataset,
-    columns,
-    candidates,
-    control: FitControl = FitControl(),
-    init=None,
-) -> BatchFit:
-    """The fits on columns + [j] for every candidate j, a chunk of candidates at a time.
+def fit_batch(dataset: SurvivalDataset, columns, candidates, start) -> BatchFit:
+    """The fits on columns + [j] for every candidate j, each from (start, 0), a chunk at a time.
 
+    start holds one coefficient per column, the C-only fit's in a screen.
     Every row runs the iteration that ``fit`` runs on its model, so it gets
-    fit's status, iterations and numbers bit for bit, whichever candidates
-    share its chunk: where fit raises SeparationError or NonIdentifiableError
-    the row has the SEPARATION or SINGULAR status. A non-finite score or
-    information still raises ValidationError. Memory stays at a fixed number
-    of (chunk, n) arrays, a chunk being _CHUNK_ELEMENTS // n candidates or
-    _MIN_CHUNK, whichever is more.
+    the status, iterations and numbers of that iteration from (start, 0) bit
+    for bit, whichever candidates share its chunk: where fit raises
+    SeparationError or NonIdentifiableError the row has the SEPARATION or
+    SINGULAR status. A non-finite score or information still raises
+    ValidationError. Memory stays at a fixed number of (chunk, n) arrays, a
+    chunk being _CHUNK_ELEMENTS // n candidates or _MIN_CHUNK, whichever is
+    more.
     """
-    d = len(columns) + 1
-    _check_dimension(dataset, d)
+    _check_dimension(dataset, len(columns) + 1)
+    start = np.asarray(start, dtype=float)
+    if start.shape != (len(columns),):
+        raise ValidationError("start length must match the number of columns")
     view = _sorted_view(dataset)
     cond_rows = _rows(dataset, columns)
-    beta = _initial(init, d)
     candidates = np.asarray(candidates, dtype=int)
     size = max(_MIN_CHUNK, _CHUNK_ELEMENTS // view.n)
     parts = [
-        _newton(view, cond_rows, _gather(dataset, candidates[start : start + size]), control, beta)
-        for start in range(0, max(len(candidates), 1), size)
+        _newton(view, cond_rows, _gather(dataset, candidates[first : first + size]), start)
+        for first in range(0, max(len(candidates), 1), size)
     ]
     beta, ll, _, info, iterations, status = (np.concatenate(arrays) for arrays in zip(*parts))
     solved = (status == CONVERGED) | (status == NOT_CONVERGED)
@@ -324,27 +301,25 @@ def fit_batch(
     return BatchFit(beta, ll, variance, iterations, status)
 
 
-def _newton(view, cond_rows, x, control, init):
-    """Damped Newton on the rows [cond_rows..., x[i]] for every i, with per-row masks.
+def _newton(view, cond_rows, x, start):
+    """Damped Newton on the rows [cond_rows..., x[i]] for every i from (start, 0), with per-row masks.
 
     Returns each row's beta, log likelihood, score, information, iterations
-    and status. A SEPARATION row keeps the beta that crossed the coefficient
-    bound; a row that stopped iterating keeps the score and information at
-    its last beta.
+    and status. A SEPARATION row keeps the beta that crossed
+    _COEFFICIENT_BOUND; a row that stopped iterating keeps the score and
+    information at its last beta. The settings are the module's
+    _MAX_ITERATIONS, _SCORE_TOLERANCE, _STEP_HALVING_LIMIT and
+    _COEFFICIENT_BOUND.
 
-    Each trial step evaluates the weights once, and the rows that take it
-    reuse them for their score and information. When init's last
-    coefficient is 0 every row starts at the same linear predictor, so the
-    start is evaluated on one shared row.
+    Every row starts at the same linear predictor, so the start is evaluated
+    on one shared row. Each trial step evaluates the weights once, and the
+    rows that take it reuse them for their score and information.
     """
     m = x.shape[0]
-    beta = np.tile(init, (m, 1))
-    if init[-1] == 0:
-        # x * 0 is a signed zero, which leaves the C-only sum (never -0.0: it starts at +0.0)
-        # as it is, so this row is every row's eta bit for bit
-        eta, w, s0 = _weights(view, cond_rows, init[None, :-1])
-    else:
-        eta, w, s0 = _weights(view, cond_rows + [x], beta)
+    beta = np.tile(np.append(start, 0.0), (m, 1))
+    # x * 0 is a signed zero, which leaves the C-only sum (never -0.0: it starts at +0.0)
+    # as it is, so this row is every row's eta bit for bit
+    eta, w, s0 = _weights(view, cond_rows, start[None])
     ll = np.broadcast_to(_loglik_at(view, eta, s0), (m,)).copy()
     if not np.all(np.isfinite(ll)):
         raise ValidationError("non-finite log partial likelihood")
@@ -352,8 +327,8 @@ def _newton(view, cond_rows, x, control, init):
     iterations = np.zeros(m, dtype=int)
     status = np.full(m, "", dtype=object)  # set at failure, else at the end
     live = np.arange(m)  # rows still iterating
-    for _ in range(control.max_iterations):
-        live = live[np.linalg.norm(score[live], axis=-1) > control.score_tolerance]
+    for _ in range(_MAX_ITERATIONS):
+        live = live[np.linalg.norm(score[live], axis=-1) > _SCORE_TOLERANCE]
         if not live.size:
             break
         delta, ok = _newton_steps(info[live], score[live])
@@ -366,7 +341,7 @@ def _newton(view, cond_rows, x, control, init):
         accepted = np.zeros(live.size, dtype=bool)
         trying = np.arange(live.size)
         step = 1.0
-        for _ in range(control.step_halving_limit):
+        for _ in range(_STEP_HALVING_LIMIT):
             idx = live[trying]
             cand = beta[idx] + step * delta[trying]
             eta, w, s0 = _weights(view, cond_rows + [x[idx]], cand)
@@ -389,7 +364,7 @@ def _newton(view, cond_rows, x, control, init):
         live = live[accepted]
         beta[live], ll[live] = new_beta[accepted], new_ll[accepted]
         iterations[live] += 1
-        separated = np.abs(beta[live]).max(axis=1) > control.coefficient_bound
+        separated = np.abs(beta[live]).max(axis=1) > _COEFFICIENT_BOUND
         status[live[separated]] = SEPARATION
         live = live[~separated]
         if live.size:
@@ -402,7 +377,7 @@ def _newton(view, cond_rows, x, control, init):
     singular = _singular_at_solution(info[rest])
     status[rest[singular]] = SINGULAR
     rest = rest[~singular]
-    converged = np.linalg.norm(score[rest], axis=-1) <= control.score_tolerance
+    converged = np.linalg.norm(score[rest], axis=-1) <= _SCORE_TOLERANCE
     status[rest[converged]] = CONVERGED
     status[rest[~converged]] = NOT_CONVERGED
     return beta, ll, score, info, iterations, status

@@ -99,7 +99,6 @@ def rank(indices, values, failed=None):
 def screen(
     dataset: SurvivalDataset,
     conditioning: ConditioningSet = ConditioningSet(),
-    control: cox.FitControl = cox.FitControl(),
     statistics=STATISTICS,
     workers: int = 1,
 ) -> ScreeningResult:
@@ -124,16 +123,14 @@ def screen(
         if j in report.constant_columns:
             raise NonIdentifiableError(f"conditioning column {j} is constant")
 
-    null_fit = cox.fit(dataset, conditioning.indices, control)
+    null_fit = cox.fit(dataset, conditioning.indices)
     if not null_fit.converged:
         raise NonIdentifiableError("null model on the conditioning set did not converge")
 
     candidates = np.array(conditioning.complement(dataset.p), dtype=int)
     # a constant candidate adds nothing to C: it is SINGULAR on every input, so it is not fitted
     varies = ~np.isin(candidates, report.constant_columns)
-    fitted_rows = cox.fit_batch(
-        dataset, conditioning.indices, candidates[varies], control, np.append(null_fit.coefficients, 0.0)
-    )
+    fitted_rows = cox.fit_batch(dataset, conditioning.indices, candidates[varies], null_fit.coefficients)
     m = len(candidates)
     batch = cox.BatchFit(
         np.full((m, conditioning.q + 1), np.nan), np.full(m, np.nan), np.full(m, np.nan),
@@ -256,14 +253,15 @@ def result_to_json(result: ScreeningResult, path):
     """Write the result as one JSON object on one line, keys sorted, plus a newline.
 
     The bytes are those of one ``json.dumps(payload, sort_keys=True)``, but the
-    records are encoded one at a time: "records" sorts last, so the other keys
-    are encoded first and then each record, joined by ", ". The columns are
-    converted to Python values _JSON_ROWS rows at a time.
+    parts are encoded one at a time, in sorted key order: "conditioning" and
+    "null_fit", then each ranking's indices joined into one string, then each
+    record, joined by ", ". The columns are converted to Python values
+    _JSON_ROWS rows at a time.
     """
     # json.dumps(obj, sort_keys=True) returns this encoder's encode(obj), building the encoder anew
     encode = json.JSONEncoder(sort_keys=True).encode
     null_fit = result.null_fit
-    head = {
+    head = encode({
         "conditioning": result.conditioning.indices,
         "null_fit": {
             "coefficients": null_fit.coefficients.tolist(),
@@ -271,11 +269,13 @@ def result_to_json(result: ScreeningResult, path):
             "iterations": null_fit.iterations,
             "converged": null_fit.converged,
         },
-        "rankings": result.rankings,
-    }
+    })
+    rankings = ", ".join(
+        f"{encode(name)}: [{', '.join(map(str, ranking))}]" for name, ranking in sorted(result.rankings.items())
+    )
     columns = [getattr(result, name) for name in _COLUMNS]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode(head)[:-1] + ', "records": [')
+        fh.write(f'{head[:-1]}, "rankings": {{{rankings}}}, "records": [')
         separator = ""
         for start in range(0, len(result.index), _JSON_ROWS):
             for row in zip(*(column[start : start + _JSON_ROWS].tolist() for column in columns)):

@@ -32,6 +32,8 @@ _CORRELATIONS = (INDEPENDENT, EQUICORRELATED, BLOCK_LAST_INDEPENDENT)
 
 _STREAM_REPLICATE = 0
 _STREAM_CALIBRATION = 1
+_CALIBRATION_REPLICATES = 200  # calibrate_censoring draws this many replicates of n subjects
+_CALIBRATION_TOLERANCE = 0.01  # and stops at a censoring rate this close to the target
 _LP_CLIP = 700.0
 
 
@@ -246,29 +248,28 @@ def gen_survival_times(covariates, beta, intercept, rng):
     return _event_times(intercept + covariates @ np.asarray(beta, dtype=float), rng)
 
 
-def calibrate_censoring(config: SimConfig, target=None, replicates=200, tolerance=0.01):
+def calibrate_censoring(config: SimConfig, target=None):
     """Bisection on the censoring upper bound c of U[0, c].
 
     The censoring proportion P(T > C) is monotone decreasing in c; a fixed
-    Monte-Carlo batch of replicates * n subjects is drawn once and reused for
-    every candidate, so the search is deterministic given the config seed.
+    Monte-Carlo batch of _CALIBRATION_REPLICATES * n subjects is drawn once
+    and reused for every candidate, so the search is deterministic given the
+    config seed.
     The batch draws the linear predictors straight from their normal law, so
     its time and memory do not grow with p. The draws become predictors and
     then event times in place, the censoring uniforms reuse the freed
     buffer, and every candidate c compares through one preallocated product
-    buffer, so the search holds at most three replicates * n float arrays
-    and one boolean array. Returns (c, achieved_rate).
+    buffer, so the search holds at most three batch-sized float arrays and
+    one boolean array. The search stops at a rate within
+    _CALIBRATION_TOLERANCE of the target, and accepts one within 5 times
+    that if the bisection runs out. Returns (c, achieved_rate).
     """
     if target is None:
         target = config.censor_target
     if not 0.0 < target < 1.0:
         raise ValidationError("calibration target must be in (0, 1)")
-    if replicates < 1:
-        raise ValidationError(f"calibration needs replicates >= 1, got {replicates}")
-    if not tolerance >= 0.0:
-        raise ValidationError(f"calibration tolerance must be >= 0, got {tolerance}")
     rng = _rng(config.seed, 0, _STREAM_CALIBRATION)
-    batch = replicates * config.n
+    batch = _CALIBRATION_REPLICATES * config.n
     lp = _standard_normal(rng, batch)
     lp *= np.sqrt(_lp_variance(config))
     lp += config.intercept
@@ -288,7 +289,7 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
     for _ in range(200):
         mid = np.sqrt(lo * hi)  # bisect on log scale: c spans many decades
         r = rate(mid)
-        if abs(r - target) <= tolerance:
+        if abs(r - target) <= _CALIBRATION_TOLERANCE:
             return float(mid), r
         if r > target:
             lo = mid
@@ -298,7 +299,7 @@ def calibrate_censoring(config: SimConfig, target=None, replicates=200, toleranc
             break
     mid = np.sqrt(lo * hi)
     r = rate(mid)
-    if abs(r - target) <= 5 * tolerance:
+    if abs(r - target) <= 5 * _CALIBRATION_TOLERANCE:
         return float(mid), r
     raise CalibrationError(f"calibration did not converge: best rate {r} vs target {target}")
 

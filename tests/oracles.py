@@ -339,17 +339,19 @@ def gauss_elim_inverse(a):
     return aug[:, d:]
 
 
-def newton_loop_fit(dataset, columns, control=cox.FitControl(), init=None):
-    """The damped Newton loop for one model, written without the batched engine.
+def newton_loop_fit(dataset, columns, init=None):
+    """The damped Newton loop for one model from init (0 if None), written without the batched engine.
 
     Same iteration, checks and exceptions as ``cox.fit``, built from the shared
-    likelihood kernels; ``cox.fit`` must agree with it bit for bit.
+    likelihood kernels, with the settings the ``cox`` module holds at call
+    time; ``cox.fit`` from 0 and each ``cox.fit_batch`` row from (start, 0)
+    must agree with it bit for bit.
     """
     d = len(columns)
     cox._check_dimension(dataset, d)
     view = cox._sorted_view(dataset)
     rows = cox._rows(dataset, columns)
-    beta = cox._initial(init, d)
+    beta = np.zeros(d) if init is None else np.array(init, dtype=float)
 
     ll = cox.log_partial_likelihood(dataset, columns, beta)
     if d == 0:
@@ -357,15 +359,15 @@ def newton_loop_fit(dataset, columns, control=cox.FitControl(), init=None):
 
     score, info = cox.score_and_information(dataset, columns, beta)
     iterations = 0
-    for _ in range(control.max_iterations):
-        if np.linalg.norm(score, axis=-1) <= control.score_tolerance:
+    for _ in range(cox._MAX_ITERATIONS):
+        if np.linalg.norm(score, axis=-1) <= cox._SCORE_TOLERANCE:
             break
         delta, ok = cox._newton_steps(info[None], score[None])
         if not ok[0]:
             raise NonIdentifiableError("information matrix is not positive definite or is singular")
         step = 1.0
         accepted = False
-        for _ in range(control.step_halving_limit):
+        for _ in range(cox._STEP_HALVING_LIMIT):
             cand = beta + step * delta[0]
             ll_cand = float(cox._loglik(view, rows, cand[None])[0])
             if cox._accepts(ll_cand, ll):
@@ -377,7 +379,7 @@ def newton_loop_fit(dataset, columns, control=cox.FitControl(), init=None):
         beta, ll = cand, ll_cand
         iterations += 1
         worst = int(np.argmax(np.abs(beta)))
-        if abs(beta[worst]) > control.coefficient_bound:
+        if abs(beta[worst]) > cox._COEFFICIENT_BOUND:
             raise SeparationError(worst)
         score, info = cox.score_and_information(dataset, columns, beta)
     score_norm = float(np.linalg.norm(score, axis=-1))
@@ -392,15 +394,15 @@ def newton_loop_fit(dataset, columns, control=cox.FitControl(), init=None):
         information=info,
         variances=variances,
         iterations=iterations,
-        converged=score_norm <= control.score_tolerance,
+        converged=score_norm <= cox._SCORE_TOLERANCE,
     )
 
 
-def _fit_one(dataset, columns, control, init, null_loglik):
+def _fit_one(dataset, columns, init, null_loglik):
     j = columns[-1]
     nan = float("nan")
     try:
-        fit_res = newton_loop_fit(dataset, columns, control, init=init)
+        fit_res = newton_loop_fit(dataset, columns, init)
     except SeparationError:
         return CovariateScreenRecord(j, nan, nan, nan, nan, SEPARATION, 0)
     except NonIdentifiableError:
@@ -424,12 +426,12 @@ def _fit_one(dataset, columns, control, init, null_loglik):
     )
 
 
-def per_candidate_screen(dataset, conditioning, control=cox.FitControl()):
+def per_candidate_screen(dataset, conditioning):
     """Screening records from one newton_loop_fit per candidate, warm-started from the null fit.
 
     A constant candidate is not fitted: it is singular whatever C is.
     """
-    null_fit = newton_loop_fit(dataset, conditioning.indices, control)
+    null_fit = newton_loop_fit(dataset, conditioning.indices)
     init = np.append(null_fit.coefficients, 0.0)
     nan = float("nan")
     records = []
@@ -437,7 +439,7 @@ def per_candidate_screen(dataset, conditioning, control=cox.FitControl()):
         if np.ptp(dataset.column(j)) == 0:
             records.append(CovariateScreenRecord(j, nan, nan, nan, nan, SINGULAR, 0))
         else:
-            records.append(_fit_one(dataset, list(conditioning.indices) + [j], control, init, null_fit.loglik))
+            records.append(_fit_one(dataset, list(conditioning.indices) + [j], init, null_fit.loglik))
     return records
 
 
@@ -574,14 +576,18 @@ def full_matrix_replicate(config, replicate_id):
     return z, t, np.ones(config.n, dtype=int)
 
 
-def full_matrix_calibrate_censoring(config, target=None, replicates=200, tolerance=0.01):
-    """Bisection for c on a batch whose covariates are the full (replicates * n, p) matrix."""
+def full_matrix_calibrate_censoring(config, target=None):
+    """Bisection for c on a batch whose covariates are the full (replicates * n, p) matrix.
+
+    The replicates and the tolerance are those the ``simulate`` module holds at call time.
+    """
     if target is None:
         target = config.censor_target
     if not 0.0 < target < 1.0:
         raise ValidationError("calibration target must be in (0, 1)")
     rng = simulate._rng(config.seed, 0, simulate._STREAM_CALIBRATION)
-    batch = replicates * config.n
+    batch = simulate._CALIBRATION_REPLICATES * config.n
+    tolerance = simulate._CALIBRATION_TOLERANCE
     batch_config = replace(config, n=batch)
     z = full_matrix_covariates(batch_config, rng)
     t, _ = gen_survival_times(z, config.dense_beta(), config.intercept, rng)

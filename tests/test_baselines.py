@@ -119,6 +119,14 @@ class TestCORS:
         assert result.degenerate == (1,)
         assert result.statistics[0] == 0.0 and result.statistics[1] > 0
 
+    def test_event_times_of_zero_range_flag_every_column(self, rng):
+        # every event at one time: the follow-up time has no range over the events
+        time = np.r_[np.full(6, 2.0), rng.uniform(2.5, 4.0, 4)]
+        ds = SurvivalDataset(time, np.r_[np.ones(6), np.zeros(4)], rng.normal(size=(10, 3)))
+        result = cors(ds)
+        assert result.degenerate == (1, 2, 3)
+        assert result.statistics.tolist() == [0.0, 0.0, 0.0]
+
     def test_matches_per_column_oracle(self, rng):
         # a correlation near 0 is a difference of nearly equal sums, so a
         # different summation order moves it by an absolute ~1e-17, not a relative one

@@ -10,7 +10,6 @@ from coxscreen.cox import (
     NOT_CONVERGED,
     SEPARATION,
     SINGULAR,
-    FitControl,
     fit,
     fit_batch,
     log_partial_likelihood,
@@ -127,12 +126,13 @@ class TestFit:
             oracle = golden_max(lambda b: log_partial_likelihood(ds, [1], [b]), -20, 20)
             assert result.coefficients[0] == pytest.approx(oracle, abs=1e-6)
 
-    def test_separation_detected(self):
+    def test_separation_detected(self, monkeypatch):
         # covariate equal to event order: likelihood increases without bound
         n = 8
         ds = SurvivalDataset(np.arange(1, n + 1), np.ones(n), np.arange(n)[:, None] * 1.0)
+        monkeypatch.setattr(cox, "_COEFFICIENT_BOUND", 5.0)
         with pytest.raises(SeparationError) as err:
-            fit(ds, [1], FitControl(coefficient_bound=5.0))
+            fit(ds, [1])
         assert err.value.coordinate == 0
 
     def test_deterministic(self, rng):
@@ -141,13 +141,6 @@ class TestFit:
         b = fit(ds, [1, 2])
         assert np.array_equal(a.coefficients, b.coefficients)
         assert a.loglik == b.loglik and a.iterations == b.iterations
-
-    def test_warm_start_respected(self, rng):
-        ds = random_dataset(rng, 40, 2, beta=np.array([0.5, -0.5]), censor_upper=3.0)
-        cold = fit(ds, [1, 2])
-        warm = fit(ds, [1, 2], init=cold.coefficients)
-        assert warm.iterations <= 1
-        np.testing.assert_allclose(warm.coefficients, cold.coefficients, atol=1e-7)
 
     def test_loglik_nondecreasing_along_path(self, rng):
         ds = random_dataset(rng, 50, 2, beta=np.array([1.0, 0.0]), censor_upper=3.0)
@@ -196,17 +189,21 @@ class TestFit:
         config = simulate.example_config(1, n=2000, p=400, seed=1)
         ds = simulate.gen_replicate(replace(config, censor_upper=1.5), 0).dataset
         null = fit(ds, [1, 2, 3])
-        init = np.append(null.coefficients, 0.0)
         for j in (165, 177, 178, 195):  # 4-13 iterations or not converged with that slack
-            res = fit(ds, [1, 2, 3, j], init=init)
-            assert res.converged and res.iterations == 3
-        batch = fit_batch(ds, [1, 2, 3], [165, 177, 178, 195], init=init)
+            alone = fit_batch(ds, [1, 2, 3], [j], null.coefficients)
+            assert alone.status[0] == CONVERGED and alone.iterations[0] == 3
+        batch = fit_batch(ds, [1, 2, 3], [165, 177, 178, 195], null.coefficients)
         assert list(batch.status) == [CONVERGED] * 4 and list(batch.iterations) == [3] * 4
 
     def test_dimension_guard(self, rng):
         ds = random_dataset(rng, 3, 4)
         with pytest.raises(ValidationError, match="dimension"):
             fit(ds, [1, 2, 3, 4])
+
+    def test_batch_start_must_match_the_columns(self, rng):
+        ds = random_dataset(rng, 20, 3)
+        with pytest.raises(ValidationError, match="^start length must match the number of columns$"):
+            fit_batch(ds, [1], [2, 3], [0.0, 0.0])
 
     def test_null_calibration_wald_standard_normal(self):
         # covariate independent of time: signed Wald ~ N(0,1) across replicates
@@ -227,7 +224,7 @@ def _differential_case(rng):
 
     Each column is normal, constant, a duplicate of column 1, ordered with the
     time, or normal times 1e4; times are tied or not. Returns the dataset, the
-    columns, a FitControl and an initial beta (None for a cold start).
+    columns and the ``cox`` settings to fit under, {name: value}.
     """
     n, p = int(rng.integers(8, 60)), 4
     z = rng.normal(size=(n, p))
@@ -251,20 +248,18 @@ def _differential_case(rng):
     ds = SurvivalDataset(time, status, z)
     d = int(rng.integers(1, 4))
     columns = [int(j) for j in rng.permutation(p)[:d] + 1]
-    control = [
-        FitControl(),
-        FitControl(max_iterations=int(rng.integers(1, 4))),
-        FitControl(coefficient_bound=2.0),
+    settings = [
+        {},
+        {"_MAX_ITERATIONS": int(rng.integers(1, 4))},
+        {"_COEFFICIENT_BOUND": 2.0},
     ][rng.integers(3)]
-    # a start far from the maximum makes the full Newton step overshoot, so steps get halved
-    init = None if rng.random() < 0.5 else rng.normal(scale=rng.choice([0.5, 3.0]), size=d)
-    return ds, columns, control, init
+    return ds, columns, settings
 
 
-def _outcome(fit_function, ds, columns, control, init):
+def _outcome(call):
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return fit_function(ds, columns, control, init)
+            return call()
     except (SeparationError, NonIdentifiableError, ValidationError) as err:
         return err
 
@@ -276,13 +271,16 @@ class TestFitMatchesNewtonLoop:
     # the loop's second message; cox.fit gives the merged one for both cases
     AT_SOLUTION = "information matrix is numerically singular at the solution"
 
-    def test_bit_identical_on_seeded_inputs(self):
+    def test_bit_identical_on_seeded_inputs(self, monkeypatch):
         rng = np.random.default_rng(20261018)
         seen = set()
         for _ in range(400):
-            ds, columns, control, init = _differential_case(rng)
-            got = _outcome(fit, ds, columns, control, init)
-            want = _outcome(newton_loop_fit, ds, columns, control, init)
+            ds, columns, settings = _differential_case(rng)
+            with monkeypatch.context() as patch:
+                for name, value in settings.items():
+                    patch.setattr(cox, name, value)
+                got = _outcome(lambda: fit(ds, columns))
+                want = _outcome(lambda: newton_loop_fit(ds, columns))
             assert type(got) is type(want)
             if isinstance(want, Exception):
                 seen.add(str(want) if isinstance(want, NonIdentifiableError) else type(want).__name__)
@@ -309,18 +307,20 @@ class TestFitBatchMatchesNewtonLoop:
     """fit_batch's rows against newton_loop_fit, which evaluates its weights afresh at every beta."""
 
     @pytest.mark.parametrize("q", [0, 1, 3])
-    @pytest.mark.parametrize("start", ["warm", "last-nonzero", "far"])
+    @pytest.mark.parametrize("start", ["warm", "far"])
     def test_bit_identical(self, monkeypatch, q, start):
         rng = np.random.default_rng(100 + q)
         ds = tied_censored_dataset(rng, 120, 10, 2)
         columns = list(range(1, q + 1))
         candidates = list(range(q + 1, 11))
-        init = np.append(fit(ds, columns).coefficients if q else np.zeros(0), 0.0)
-        if start == "last-nonzero":
-            init[-1] = 0.3  # every row starts at its own linear predictor
+        c_start = fit(ds, columns).coefficients
+        # far from the maximum, full steps overshoot and get halved: a far C start, or
+        # with an empty C candidates shifted by 1e7, where eta carries the shift's rounding
+        if start == "far" and q:
+            c_start = np.full(q, 4.0)
         elif start == "far":
-            init = np.full(q + 1, 4.0)  # full steps overshoot and get halved
-        control = FitControl(coefficient_bound=20.0)
+            ds = SurvivalDataset(ds.time, ds.status, ds.covariates + 1e7)
+        monkeypatch.setattr(cox, "_COEFFICIENT_BOUND", 20.0)
 
         rejected = []
         real_accepts = cox._accepts
@@ -332,11 +332,11 @@ class TestFitBatchMatchesNewtonLoop:
 
         monkeypatch.setattr(cox, "_accepts", recording_accepts)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            batch = fit_batch(ds, columns, candidates, control, init)
-        monkeypatch.undo()
+            batch = fit_batch(ds, columns, candidates, c_start)
+        monkeypatch.setattr(cox, "_accepts", real_accepts)
         assert any(rejected) == (start == "far")
         for i, j in enumerate(candidates):
-            want = _outcome(newton_loop_fit, ds, columns + [j], control, init)
+            want = _outcome(lambda: newton_loop_fit(ds, columns + [j], np.append(c_start, 0.0)))
             if isinstance(want, Exception):
                 assert batch.status[i] == (SEPARATION if isinstance(want, SeparationError) else SINGULAR)
                 assert np.isnan(batch.loglik[i]) and batch.iterations[i] == 0
@@ -350,7 +350,7 @@ class TestFitBatchMatchesNewtonLoop:
 class TestOneWeightSetPerStep:
     """The engine evaluates the weights once at the start and once per trial step."""
 
-    def _count(self, monkeypatch, ds, columns, candidates, init):
+    def _count(self, monkeypatch, ds, columns, candidates, start):
         rows = []
         real_weights = cox._weights
 
@@ -359,7 +359,7 @@ class TestOneWeightSetPerStep:
             return real_weights(view, rows_, beta)
 
         monkeypatch.setattr(cox, "_weights", counting_weights)
-        batch = fit_batch(ds, columns, candidates, FitControl(), init)
+        batch = fit_batch(ds, columns, candidates, start)
         monkeypatch.undo()
         return batch, rows
 
@@ -369,20 +369,12 @@ class TestOneWeightSetPerStep:
                             censor_upper=3.0)
         columns = list(range(1, q + 1))
         candidates = list(range(q + 1, 9))
-        init = np.append(fit(ds, columns).coefficients if q else np.zeros(0), 0.0)
-        batch, rows = self._count(monkeypatch, ds, columns, candidates, init)
+        batch, rows = self._count(monkeypatch, ds, columns, candidates, fit(ds, columns).coefficients)
         assert np.all(batch.status == CONVERGED)
         k = int(batch.iterations.max())
         assert len(rows) == 1 + k
         # the shared start row, then every row still iterating at each full step
         assert rows == [1] + [int(np.sum(batch.iterations >= s)) for s in range(1, k + 1)]
-
-    def test_nonzero_last_start_is_evaluated_per_row(self, rng, monkeypatch):
-        ds = random_dataset(rng, 150, 5, beta=np.array([0.8, -0.5, 0, 0, 0]), censor_upper=3.0)
-        init = np.append(fit(ds, [1]).coefficients, 0.1)
-        batch, rows = self._count(monkeypatch, ds, [1], [2, 3, 4, 5], init)
-        assert np.all(batch.status == CONVERGED)
-        assert rows[0] == 4 and len(rows) == 1 + int(batch.iterations.max())
 
 
 class TestVarianceOfLastCoordinate:

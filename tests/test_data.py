@@ -59,6 +59,16 @@ class TestValidate:
         with pytest.raises(ValidationError, match="at least 2"):
             make([1], [1], [[0.1]])
 
+    @pytest.mark.parametrize("time, covariates, names, message", [
+        ([1, 2], [0.1, 0.2], None, "covariates must be a 2-d array (n rows, p columns)"),
+        ([1, 2], np.zeros((2, 0)), None, "need at least 1 covariate column"),
+        ([1, 2, 3], [[0.1], [0.2]], None, "time/status length does not match covariate rows"),
+        ([1, 2], [[0.1], [0.2]], ["a", "b"], "covariate_names length does not match p"),
+    ], ids=["1-d-covariates", "no-columns", "time-length", "names-length"])
+    def test_malformed_input_rejected(self, time, covariates, names, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SurvivalDataset(time, [1, 1], covariates, names)
+
 
 class TestRiskSets:
     def test_strictly_ordered_times(self):
@@ -140,6 +150,16 @@ class TestCSV:
         path = tmp_path / "d.csv"
         path.write_text("t,status,z1\n1.0,1,0.5\n2.0,0,0.1\n")
         with pytest.raises(CSVParseError, match="missing required column 'time'"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("time,status\n1.0,1\n2.0,0\n", "no covariate columns"),
+    ], ids=["empty", "time-and-status-only"])
+    def test_file_without_covariates_rejected(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(CSVParseError, match=f"^{re.escape(str(path))}: {message}$"):
             read_csv(path)
 
     def test_ragged_row(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxscreen import cox, screening
-from coxscreen.cox import FitControl, fit
+from coxscreen.cox import fit
 from coxscreen.data import ConditioningSet, SurvivalDataset
 from coxscreen.errors import ConfigError, NonIdentifiableError, ValidationError
 from coxscreen.screening import (
@@ -132,6 +132,12 @@ class TestScreen:
             with pytest.raises(ValidationError, match="workers must be 1"):
                 screen(ds, ConditioningSet((1,)), workers=workers)
 
+    def test_unconverged_null_fit_raises(self, dataset, monkeypatch):
+        monkeypatch.setattr(cox, "_MAX_ITERATIONS", 1)
+        assert screen(dataset, ConditioningSet()).null_fit.converged  # no coefficient to fit
+        with pytest.raises(NonIdentifiableError, match="^null model on the conditioning set did not converge$"):
+            screen(dataset, ConditioningSet((1,)))
+
     def test_warm_start_from_null_fit(self, dataset):
         null = fit(dataset, [1])
         result = screen(dataset, ConditioningSet((1,)))
@@ -160,10 +166,10 @@ class TestScreen:
             screen(ds, ConditioningSet(tuple(range(1, events + 1))))
 
 
-def assert_matches_oracle(dataset, conditioning, control=FitControl()):
+def assert_matches_oracle(dataset, conditioning):
     """screen against one newton_loop_fit per candidate, bit for bit; returns the screen result."""
-    result = screen(dataset, conditioning, control)
-    expected = per_candidate_screen(dataset, conditioning, control)
+    result = screen(dataset, conditioning)
+    expected = per_candidate_screen(dataset, conditioning)
     assert [r.index for r in result.records] == [r.index for r in expected]
     for got, want in zip(result.records, expected):
         assert (got.fit_status, got.iterations) == (want.fit_status, want.iterations), got.index
@@ -182,12 +188,13 @@ class TestBatchedSweep:
             ds = tied_censored_dataset(rng, int(rng.integers(30, 200)), 12, decimals)
             assert_matches_oracle(ds, ConditioningSet(tuple(range(1, q + 1))))
 
-    def test_event_ordered_column_separates(self, rng):
+    def test_event_ordered_column_separates(self, rng, monkeypatch):
         n = 40
         z = rng.normal(size=(n, 3))
         z[:, 2] = -np.arange(n, dtype=float) / n
         ds = SurvivalDataset(np.sort(rng.uniform(0.1, 5.0, n)), np.ones(n), z)
-        result = assert_matches_oracle(ds, ConditioningSet((1,)), FitControl(coefficient_bound=2.0))
+        monkeypatch.setattr(cox, "_COEFFICIENT_BOUND", 2.0)
+        result = assert_matches_oracle(ds, ConditioningSet((1,)))
         assert record(result, 3).fit_status == SEPARATION
         assert result.rankings["wald"][-1] == 3
 
@@ -220,9 +227,10 @@ class TestBatchedSweep:
             result = assert_matches_oracle(ds, cond)
             assert np.all(result.fit_status == CONVERGED)
 
-    def test_max_iterations_one_is_not_converged(self, rng):
+    def test_max_iterations_one_is_not_converged(self, rng, monkeypatch):
         ds = tied_censored_dataset(rng, 60, 6, 8)
-        result = assert_matches_oracle(ds, ConditioningSet(), FitControl(max_iterations=1))
+        monkeypatch.setattr(cox, "_MAX_ITERATIONS", 1)
+        result = assert_matches_oracle(ds, ConditioningSet())
         assert set(zip(result.fit_status.tolist(), result.iterations.tolist())) == {(NOT_CONVERGED, 1)}
 
     @pytest.mark.parametrize("n", [60, 2500])
@@ -232,9 +240,8 @@ class TestBatchedSweep:
         cond = ConditioningSet((1, 2))
         result = screen(ds, cond)
         assert np.all(result.fit_status == CONVERGED)
-        init = np.append(result.null_fit.coefficients, 0.0)
         for i, j in enumerate(result.index):
-            alone = cox.fit_batch(ds, cond.indices, [j], FitControl(), init)
+            alone = cox.fit_batch(ds, cond.indices, [j], result.null_fit.coefficients)
             assert (alone.status[0], alone.iterations[0]) == (CONVERGED, result.iterations[i])
             coefficients = alone.coefficients[0]
             want = [
@@ -478,9 +485,11 @@ class _WriterBytes:
         return SurvivalDataset(ds.time, ds.status, z, self.NAMES)
 
     @pytest.mark.parametrize("cond", [(), (1,), (1, 2, 3)])
-    def test_matches_oracle(self, rng, tmp_path, cond):
+    def test_matches_oracle(self, rng, tmp_path, monkeypatch, cond):
         ds = self.dataset_with_failures(rng)
-        result = screen(ds, ConditioningSet(cond), FitControl(coefficient_bound=2.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(cox, "_COEFFICIENT_BOUND", 2.0)
+            result = screen(ds, ConditioningSet(cond))
         assert set(result.fit_status) >= {CONVERGED, SEPARATION}
         self.assert_same_bytes(result, tmp_path)
         self.assert_same_bytes(screen(ds, ConditioningSet(cond), statistics=("wald",)), tmp_path)
@@ -521,7 +530,8 @@ class TestJSONBytes(_WriterBytes):
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_records_converted_a_few_rows_at_a_time(self, rng, tmp_path, monkeypatch, rows):
         monkeypatch.setattr(screening, "_JSON_ROWS", rows)
-        result = screen(self.dataset_with_failures(rng), ConditioningSet((1,)), FitControl(coefficient_bound=2.0))
+        monkeypatch.setattr(cox, "_COEFFICIENT_BOUND", 2.0)
+        result = screen(self.dataset_with_failures(rng), ConditioningSet((1,)))
         self.assert_same_bytes(result, tmp_path)
 
 

@@ -180,30 +180,18 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             calibrate_censoring(config, 1.5)
 
-    def test_closest_rate_after_bisection(self):
+    def test_closest_rate_after_bisection(self, monkeypatch):
         # 5 replicates of n=2 give 10 subjects, so every rate is a multiple of 0.1
         # and none is within 0.02 of 0.25: the bisection runs out, and the
         # 5 * tolerance check accepts the rate it ends on
         config = example_config(2, n=2, seed=3)
-        _, achieved = calibrate_censoring(config, 0.25, replicates=5, tolerance=0.02)
+        monkeypatch.setattr(simulate, "_CALIBRATION_REPLICATES", 5)
+        monkeypatch.setattr(simulate, "_CALIBRATION_TOLERANCE", 0.02)
+        _, achieved = calibrate_censoring(config, 0.25)
         assert achieved == 0.3
+        monkeypatch.setattr(simulate, "_CALIBRATION_TOLERANCE", 0.0)
         with pytest.raises(CalibrationError, match="calibration did not converge"):
-            calibrate_censoring(config, 0.25, replicates=5, tolerance=0)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"replicates": 0}, "replicates >= 1, got 0"),
-        ({"replicates": -3}, "replicates >= 1, got -3"),
-        ({"tolerance": -1}, "tolerance must be >= 0, got -1"),
-        ({"tolerance": float("nan")}, "tolerance must be >= 0, got nan"),
-    ])
-    def test_invalid_batch_rejected_before_drawing(self, monkeypatch, kwargs, message):
-        def no_draw(*_args):
-            raise AssertionError("calibration drew before validating its arguments")
-
-        monkeypatch.setattr(simulate, "_rng", no_draw)
-        config = example_config(1, n=50, p=10, seed=1)
-        with pytest.raises(ValidationError, match=message):
-            calibrate_censoring(config, 0.2, **kwargs)
+            calibrate_censoring(config, 0.25)
 
 
 def _calibration_configs(tmp_path):
@@ -272,15 +260,16 @@ class TestCalibrationOracle:
         sd = np.sqrt(simulate._lp_variance(config))
         assert stats.kstest(lp, "norm", args=(config.intercept, sd)).pvalue > 1e-3
 
-    def test_held_out_rate_near_target(self, tmp_path):
+    def test_held_out_rate_near_target(self, tmp_path, monkeypatch):
         held_out = 2000 * 10
         for config, target, replicates in _calibration_configs(tmp_path):
+            monkeypatch.setattr(simulate, "_CALIBRATION_REPLICATES", replicates)
             # both batches miss the true rate at their c by Monte-Carlo error
             batch = replicates * config.n
             slack = 0.01 + 4.0 * np.sqrt(target * (1 - target) * (1 / batch + 1 / held_out))
             rates = {}
             for calibrate in (calibrate_censoring, full_matrix_calibrate_censoring):
-                c, _ = calibrate(config, target, replicates=replicates)
+                c, _ = calibrate(config, target)
                 if c not in rates:
                     rates[c] = _held_out_rate(config, c)
                 assert abs(rates[c] - target) <= slack, (calibrate.__name__, config, target, rates)

@@ -66,6 +66,19 @@ def quoted_dataset():
                            ["a,b", 'say "hi"', "größe", "z4"])
 
 
+def shifted_dataset():
+    """Columns 3-6 shifted by 1e7: trial Newton steps get halved and some fits do not converge."""
+    rng = np.random.default_rng(20261018)
+    n = 60
+    z = rng.normal(size=(n, 6))
+    t = -np.log(rng.uniform(size=n)) / np.exp(z[:, 0] - 0.5 * z[:, 1])
+    c = rng.uniform(0.0, 3.0, size=n)
+    status = (t <= c).astype(int)
+    status[int(np.argmin(t))] = 1
+    z[:, 2:] += 1e7
+    return SurvivalDataset(np.minimum(t, c), status, z)
+
+
 def calls():
     """(name, argv) of every call, in the order they run; later calls read earlier outputs."""
     runs = [
@@ -92,6 +105,11 @@ def calls():
         name = f"screen-quoted-{fmt}"
         runs.append((name, ["screen", "--input", "quoted.csv", "--conditioning", "1",
                             "--stats", "mple,wald,plik", "--format", fmt, "--out", f"{name}.{fmt}"]))
+    for cond in ("none", "1", "1,2"):
+        for fmt in ("csv", "json"):
+            name = f"screen-shifted-c{cond.replace(',', '')}-{fmt}"
+            runs.append((name, ["screen", "--input", "shifted.csv", "--conditioning", cond,
+                                "--stats", "mple,wald,plik", "--format", fmt, "--out", f"{name}.{fmt}"]))
     runs += [
         ("diagnose-quoted", ["diagnose", "--input", "quoted.csv", "--conditioning", "2",
                              "--out", "diagnose-quoted.csv"]),
@@ -141,6 +159,7 @@ def run_matrix(outdir):
         write_csv(tied_dataset(), "tied.csv")
         write_csv(small_dataset(), "small.csv")
         write_csv(quoted_dataset(), "quoted.csv")
+        write_csv(shifted_dataset(), "shifted.csv")
         config_to_kv(example_config(2, n=60, p=12, censor_target=0.2, seed=int(SEED)), "ex2.kv")
         with open("bad.kv", "w", encoding="utf-8") as fh:
             fh.write("n=abc\np=12\n")
