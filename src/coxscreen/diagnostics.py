@@ -16,6 +16,11 @@ from .data import ConditioningSet, SurvivalDataset, write_rows
 from .errors import ValidationError
 
 _PINV_RTOL = 1e-10
+# The diagnose pass gathers and centres about _CHUNK_ELEMENTS // n columns at a time, a multiple
+# of _CHUNK_ALIGN: a BLAS kernel computes a product's outputs in groups, and aligned chunks keep
+# each column in the group, and so the rounding, it has in one product over all columns.
+_CHUNK_ELEMENTS = 1 << 15
+_CHUNK_ALIGN = 16
 
 
 @dataclass(frozen=True)
@@ -89,15 +94,26 @@ def cle_predict(model: CLEModel, xi) -> np.ndarray:
     return pred[0] if single else pred
 
 
-def _partial_covariances(columns, target, xi) -> np.ndarray:
-    """Cov(z, t) - Cov(z, xi) Var(xi)^-1 Cov(xi, t) for every column z of `columns`.
+def _partial_covariances(source, columns, target, xi) -> np.ndarray:
+    """Cov(z, t) - Cov(z, xi) Var(xi)^-1 Cov(xi, t) for every column z = source[:, k], k in `columns`.
 
     The target t is residualised on xi once; each column then costs one inner
-    product with that residual. An empty xi (n rows, 0 columns) gives the
-    plain covariances.
+    product with that residual. The columns are gathered and centred a chunk
+    of about _CHUNK_ELEMENTS // n at a time, so besides the result the pass
+    holds one chunk. An empty xi (n rows, 0 columns) gives the plain
+    covariances.
     """
+    n = target.shape[0]
     resid = target - cle_predict(fit_cle(target, xi), xi)[:, 0]
-    return resid @ (columns - columns.mean(axis=0)) / target.shape[0]
+    columns = np.asarray(columns, dtype=int)
+    out = np.empty(columns.shape[0])
+    size = max(1, _CHUNK_ELEMENTS // n // _CHUNK_ALIGN) * _CHUNK_ALIGN
+    for first in range(0, columns.shape[0], size):
+        chunk = source[:, columns[first : first + size]]
+        chunk -= chunk.mean(axis=0)
+        out[first : first + size] = resid @ chunk / n
+        del chunk  # before the next chunk is gathered
+    return out
 
 
 def cond_linear_cov(zeta1, zeta2, xi=None) -> float:
@@ -111,12 +127,14 @@ def cond_linear_cov(zeta1, zeta2, xi=None) -> float:
     if z2.shape[0] != z1.shape[0]:
         raise ValidationError("zeta1 and zeta2 must have the same length")
     xi = np.empty((z1.shape[0], 0)) if xi is None else _as_2d(xi)
-    return float(_partial_covariances(z1[:, None], z2, xi)[0])
+    return float(_partial_covariances(z1[:, None], [0], z2, xi)[0])
 
 
-def _signal_strengths(dataset, conditioning, z):
+def _signal_strengths(dataset, conditioning, candidates):
+    """The signal strength of each 1-based candidate."""
     z_c = dataset.covariates[:, [k - 1 for k in conditioning.indices]]
-    return _partial_covariances(z, dataset.status.astype(float), z_c)
+    columns = [j - 1 for j in candidates]
+    return _partial_covariances(dataset.covariates, columns, dataset.status.astype(float), z_c)
 
 
 def signal_strength(dataset: SurvivalDataset, conditioning: ConditioningSet, j) -> float:
@@ -129,14 +147,15 @@ def signal_strength(dataset: SurvivalDataset, conditioning: ConditioningSet, j) 
     conditioning.check_against(dataset)
     if j in conditioning.indices:
         raise ValidationError(f"covariate {j} is in the conditioning set")
-    return float(_signal_strengths(dataset, conditioning, dataset.column(j)[:, None])[0])
+    dataset.column(j)  # raises for a j out of range
+    return float(_signal_strengths(dataset, conditioning, [j])[0])
 
 
 def signal_strengths_to_csv(dataset, conditioning, path):
     """Per-candidate signal strengths as CSV (index, name, signal_strength)."""
     conditioning.check_against(dataset)
     candidates = conditioning.complement(dataset.p)
-    values = _signal_strengths(dataset, conditioning, dataset.covariates[:, [j - 1 for j in candidates]])
+    values = _signal_strengths(dataset, conditioning, candidates)
     names = [dataset.covariate_names[j - 1] for j in candidates]
     write_rows(path, ["index", "name", "signal_strength"], zip(candidates, names, values.tolist()))
     return candidates

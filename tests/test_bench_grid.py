@@ -21,6 +21,8 @@ LAYERS = {
 LAYER_KEYS = {"params", "unit", "units_per_call", "calls_per_repeat", "repeats", "median_s", "iqr_s",
               "s_per_unit"}
 MEMORY_KEYS = {"params", "array", "array_bytes", "traced_peak_bytes", "arrays"}
+CLI = {"simulate", "calibrate", "screen", "diagnose", "benchmark"}
+CLI_KEYS = {"params", "argv", "repeats", "median_s", "iqr_s", "peak_rss_mb"}
 
 
 def test_tiny_grid_schema(tmp_path, capsys):
@@ -31,7 +33,7 @@ def test_tiny_grid_schema(tmp_path, capsys):
     assert grid.main(["--out", str(out), "--size", "tiny"]) == 0
     report = json.loads(out.read_text())
 
-    assert set(report) == {"size", "seed", "machine", "layers", "memory"}
+    assert set(report) == {"size", "seed", "machine", "layers", "memory", "cli"}
     assert report["size"] == "tiny"
     assert {"nproc", "cpu", "python", "numpy", "threads"} <= set(report["machine"])
     assert set(report["machine"]["threads"]) == set(grid.THREAD_VARS)
@@ -50,9 +52,17 @@ def test_tiny_grid_schema(tmp_path, capsys):
             assert layer["units_per_call"] == layer["params"]["p"] - layer["params"]["q"], name
 
     assert set(report["memory"]) == {"simulate.calibrate_censoring", "simulate.gen_replicate", "data.read_csv",
-                                     "screening.screen", "screening.result_to_json"}
+                                     "screening.screen", "screening.result_to_json",
+                                     "diagnostics.signal_strengths_to_csv"}
     for name, peak in report["memory"].items():
         assert set(peak) == MEMORY_KEYS, name
         assert peak["traced_peak_bytes"] > 0
         assert math.isclose(peak["arrays"], peak["traced_peak_bytes"] / peak["array_bytes"])
-    assert len(capsys.readouterr().out.splitlines()) == len(expected) + len(report["memory"])
+
+    assert set(report["cli"]) == CLI
+    for name, run in report["cli"].items():
+        assert set(run) == CLI_KEYS, name
+        assert run["argv"][0] == name and run["repeats"] == grid.SIZES["tiny"]["repeats"]
+        assert run["median_s"] > 0 and run["iqr_s"] >= 0 and run["peak_rss_mb"] > 0
+    printed = len(expected) + len(report["memory"]) + len(report["cli"])
+    assert len(capsys.readouterr().out.splitlines()) == printed

@@ -29,3 +29,5 @@ def test_matrix_exit_codes_and_outputs(tmp_path):
         assert (tmp_path / f"{name}.log").read_text().startswith(f"exit={code}\n")
         if name.startswith("screen-") and not code:
             assert (tmp_path / f"{name}_selected.csv").exists()
+    # the tied input with a byte-order mark in front screens as the tied input does
+    assert (tmp_path / "screen-bom.csv").read_bytes() == (tmp_path / "screen-tied-c1-csv.csv").read_bytes()

@@ -180,6 +180,29 @@ class TestCSV:
         with pytest.raises(CSVParseError, match=f"^{re.escape(str(path))}: .*{message}"):
             read_csv(path)
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "per-cell"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, quoted):
+        # Excel's "CSV UTF-8" export starts the file with one
+        text = "time,status,z1\n1.0,1,0.5\n2.0,0," + ('"0.1"' if quoted else "0.1") + "\n3.0,1,0.2\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbftime,")
+        assert read_outcome(read_csv, bom) == read_outcome(read_csv, plain)
+        assert read_csv(bom).n == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,status,z1\n1.0,1,0.5\n2.0,0,\ufeff0.1\n", "row 3, column 'z1': cannot parse '\ufeff0.1'"),
+        ("\ufefftime,status,z1\n1.0,1,\ufeff0.5\n2.0,0,0.1\n", "row 2, column 'z1': cannot parse '\ufeff0.5'"),
+        ("time,\ufeffstatus,z1\n1.0,1,0.5\n2.0,0,0.1\n", "missing required column 'status'"),
+        ("\ufeff\ufefftime,status,z1\n1.0,1,0.5\n2.0,0,0.1\n", "missing required column 'time'"),
+    ], ids=["in-a-cell", "in-a-cell-after-a-leading-one", "in-the-header", "second-leading"])
+    def test_byte_order_mark_past_the_start_is_an_error(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CSVParseError, match=re.escape(message)):
+            read_csv(path)
+
     def test_roundtrip_exact(self, tmp_path, rng):
         ds = random_dataset(rng, 20, 4, censor_upper=2.0)
         path = tmp_path / "rt.csv"
@@ -246,7 +269,7 @@ class TestCSV:
         def no_per_cell(*args):
             raise AssertionError("fell back to the per-cell parser")
 
-        monkeypatch.setattr(data, "_per_cell_table", no_per_cell)
+        monkeypatch.setattr(data, "_per_cell_rows", no_per_cell)
         assert read_csv(path) == ds
 
     @pytest.mark.filterwarnings("error")
@@ -359,13 +382,13 @@ class TestReadCSVInBlocks:
     def record_per_cell_start(monkeypatch):
         """The first_row of every call to the per-cell parser."""
         starts = []
-        real = data._per_cell_table
+        real = data._per_cell_rows
 
         def recording(lines, header, columns, path, first_row):
             starts.append(first_row)
             return real(lines, header, columns, path, first_row)
 
-        monkeypatch.setattr(data, "_per_cell_table", recording)
+        monkeypatch.setattr(data, "_per_cell_rows", recording)
         return starts
 
     @pytest.mark.filterwarnings("error")
@@ -445,6 +468,62 @@ class TestReadCSVInBlocks:
                          + b"9.5,1,0.\xff1,2\n")
         with pytest.raises(CSVParseError, match="can't decode byte 0xff"):
             read_csv(path)
+
+
+class TestReadCSVArrays:
+    """read_csv parses into C-contiguous arrays that equal the per-cell reader's bit for bit."""
+
+    @staticmethod
+    def assert_contiguous_and_same(path):
+        ds = read_csv(path)
+        assert all(a.flags.c_contiguous for a in (ds.time, ds.status, ds.covariates))
+        assert_same_outcome(path)
+
+    @staticmethod
+    def record_resizes(monkeypatch):
+        """The row count of every resize of the reader's arrays."""
+        rows = []
+        real = data._resize
+        monkeypatch.setattr(data, "_resize", lambda arrays, n: rows.append(n) or real(arrays, n))
+        return rows
+
+    @pytest.mark.parametrize("header", ["time,status,z1,z2,z3", "z1,status,z2,time,z3", "z3,z2,z1,time,status"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "per-cell"])
+    def test_matches_per_cell_reader(self, tmp_path, monkeypatch, rng, header, quoted):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 200)  # the quoted cell sits in a late block
+        names = header.split(",")
+        lines = [header]
+        for k in range(40):
+            cells = {"time": repr(rng.exponential()), "status": str(k % 2),
+                     **{f"z{j}": repr(rng.normal()) for j in (1, 2, 3)}}
+            if quoted and k == 25:
+                cells["z2"] = f'"{cells["z2"]}"'
+            lines.append(",".join(cells[name] for name in names))
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        starts = TestReadCSVInBlocks.record_per_cell_start(monkeypatch)
+        self.assert_contiguous_and_same(path)
+        assert bool(starts) == quoted
+        assert read_csv(path).covariate_names == [name for name in names if name.startswith("z")]
+
+    @pytest.mark.parametrize("block", [1 << 8, 1 << 16])
+    @pytest.mark.parametrize("order", ["long-then-short", "short-then-long"])
+    def test_rows_shorter_or_longer_than_the_first_blocks(self, tmp_path, monkeypatch, block, order):
+        monkeypatch.setattr(data, "_BLOCK_CHARS", block)
+        long_rows = [f"{k}.123456789012345,1,0.123456789012345{k},-9.87654321098765e-{k % 300}" for k in range(800)]
+        short_rows = [f"{k},0,{k % 10},{k % 7}" for k in range(6000)]
+        body = long_rows + short_rows if order == "long-then-short" else short_rows + long_rows
+        path = tmp_path / "d.csv"
+        path.write_text("time,status,z1,z2\n" + "\n".join(body) + "\n")
+        self.assert_contiguous_and_same(path)
+        resizes = self.record_resizes(monkeypatch)
+        ds = read_csv(path)
+        assert ds.n == len(body)
+        if order == "long-then-short":  # the first block's estimate runs out and the arrays grow
+            assert len(resizes) >= 2 and resizes[1] > resizes[0]
+            assert len(body) <= resizes[-1] <= len(body) * 17 // 16
+        else:  # the first block's estimate is about twice the rows, and the buffers are cut
+            assert resizes[0] > 1.5 * len(body) and resizes[-1] == len(body)
 
 
 class TestConditioningSet:

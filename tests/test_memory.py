@@ -1,4 +1,4 @@
-"""Memory bounds of the screen path, measured with tracemalloc at n=100, p=1000.
+"""Memory bounds of the screen and diagnose paths, measured with tracemalloc at n=100, p=1000.
 
 numpy reports its array buffers to tracemalloc, so a peak counts every array
 a call holds at once.
@@ -11,6 +11,7 @@ import pytest
 
 from coxscreen import cox
 from coxscreen.data import ConditioningSet, read_csv, write_csv
+from coxscreen.diagnostics import signal_strengths_to_csv
 from coxscreen.screening import result_to_json, screen
 
 from conftest import random_dataset
@@ -40,6 +41,20 @@ def test_read_csv_holds_little_more_than_two_copies_of_the_covariates(dataset, t
     path = tmp_path / "d.csv"
     write_csv(dataset, path)
     assert traced_peak(lambda: read_csv(path)) <= 2.5 * dataset.covariates.nbytes
+
+
+def test_read_csv_parses_into_the_datasets_own_arrays(dataset, tmp_path):
+    # one copy, one block of lines and its table, and the names; concatenating block tables read 2.09
+    path = tmp_path / "d.csv"
+    write_csv(dataset, path)
+    assert traced_peak(lambda: read_csv(path)) <= 1.7 * dataset.covariates.nbytes
+
+
+def test_signal_strengths_to_csv_holds_one_chunk_of_the_covariates(dataset, tmp_path):
+    # gathering and centring every candidate column at once read 2.14 copies
+    path = tmp_path / "s.csv"
+    peak = traced_peak(lambda: signal_strengths_to_csv(dataset, ConditioningSet((1,)), path))
+    assert peak <= 0.6 * dataset.covariates.nbytes
 
 
 def test_result_to_json_holds_under_twice_its_file(dataset, tmp_path):

@@ -1,4 +1,4 @@
-"""Time coxscreen's layers one at a time, in-process, on fixed seeds.
+"""Time coxscreen's layers one at a time, in-process, on fixed seeds, and each CLI subcommand.
 
 Usage:
 
@@ -9,19 +9,24 @@ repeats, each of enough calls to fill a minimum time. The JSON file gives,
 per layer, the median and interquartile range of the seconds per call, the
 unit of work, the units per call and the seconds per unit. It also gives the
 tracemalloc peak of one censoring calibration, one ``gen_replicate``, one
-``read_csv``, the first ``screen`` of a dataset at q=1 and one
-``result_to_json``, in bytes and in arrays of the batch or design size (of
-the written file, for the JSON writer), and the host facts that
-``perfbench/run.py`` records. ``--size tiny`` runs every layer on small
-inputs, for a smoke test.
+``read_csv``, the first ``screen`` of a dataset at q=1, one
+``result_to_json`` and one ``signal_strengths_to_csv``, in bytes and in
+arrays of the batch or design size (of the written file, for the JSON
+writer), and the host facts that ``perfbench/run.py`` records. ``--size
+tiny`` runs every layer on small inputs, for a smoke test.
 
 The layers are the Breslow likelihood and its score and information, one
 ``cox.fit``, the conditional sweep (``screening.screen``) over a grid of n,
 p and q, IPW weights, CORS, CRIS, calibration, ``gen_replicate``, the
 diagnose pass (``diagnostics.signal_strengths_to_csv``) and one
-``benchmark.run_replicate`` with all seven methods. Absolute times move with
-the host's load, so compare two checkouts by running the script against
-each ``src`` on the same machine, one after the other.
+``benchmark.run_replicate`` with all seven methods. Under ``cli``, each
+subcommand (``simulate``, ``calibrate``, ``screen``, ``diagnose`` and
+``benchmark``) runs the same number of repeats as a fresh
+``python -m coxscreen.cli`` process on the replicate size, with the median
+and interquartile range of its wall seconds and the median of its peak
+resident memory, which ``os.wait4`` reports. Absolute times move with the
+host's load, so compare two checkouts by running the script against each
+``src`` on the same machine, one after the other.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,6 +51,7 @@ if __name__ == "__main__":  # one BLAS thread, as perfbench/run.py pins it; set 
 
 import numpy as np  # noqa: E402
 
+import coxscreen  # noqa: E402
 from coxscreen import baselines, benchmark, cox, data, diagnostics, screening, simulate  # noqa: E402
 from coxscreen.data import ConditioningSet  # noqa: E402
 
@@ -186,6 +193,7 @@ def memory(size, workdir):
         return screening.screen(ds, cond)
 
     design = {"n": n, "p": p}
+    signal_path = Path(workdir) / "memory-signal.csv"
     return {
         "simulate.calibrate_censoring": _traced_peak(
             lambda: simulate.calibrate_censoring(calibrate),
@@ -197,7 +205,68 @@ def memory(size, workdir):
         "screening.result_to_json": _traced_peak(
             lambda: screening.result_to_json(result, json_path), {**design, "q": 1}, "file bytes",
             json_path.stat().st_size),
+        "diagnostics.signal_strengths_to_csv": _traced_peak(
+            lambda: diagnostics.signal_strengths_to_csv(ds, cond, signal_path), {**design, "q": 1},
+            "n p floats", n * p * 8),
     }
+
+
+def cli_calls(size, workdir):
+    """(name, parameters, argv) of one call of each CLI subcommand, run in workdir on the replicate size."""
+    n, p = SIZES[size]["replicate"]
+    data.write_csv(_dataset(n, p), Path(workdir) / "cli.csv")
+    design = ["--example", "1", "--n", str(n), "--p", str(p), "--seed", str(SEED)]
+    inputs = ["--input", "cli.csv", "--conditioning", "1"]
+    params = {"n": n, "p": p}
+    return [
+        ("simulate", params, ["simulate", *design, "--out", "cli-simulate.csv"]),
+        ("calibrate", params, ["calibrate", *design, "--target", "0.2"]),
+        ("screen", {**params, "q": 1}, ["screen", *inputs, "--stats", "mple,wald,plik", "--format", "json",
+                                        "--out", "cli-screen.json"]),
+        ("diagnose", {**params, "q": 1}, ["diagnose", *inputs, "--out", "cli-diagnose.csv"]),
+        ("benchmark", {**params, "replicates": 1, "methods": len(benchmark.ALL_METHODS)},
+         ["benchmark", *design, "--replicates", "1", "--out", "cli-benchmark.csv"]),
+    ]
+
+
+# A fresh interpreter spawns the CLI and prints its wall seconds, exit code and peak RSS (Linux:
+# kilobytes). The CLI is not spawned from this process, as a child's peak RSS counts the memory of
+# the process it was forked from.
+_SPAWN = """
+import os, sys, time
+start = time.perf_counter()
+null = os.open(os.devnull, os.O_WRONLY)
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "coxscreen.cli", *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_DUP2, null, 1), (os.POSIX_SPAWN_DUP2, null, 2)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _run_cli(argv, workdir, env):
+    """Wall seconds and peak resident MB of one ``python -m coxscreen.cli`` process."""
+    out = subprocess.run([sys.executable, "-c", _SPAWN, *argv], cwd=workdir, env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    seconds, code, kilobytes = float(out[0]), int(out[1]), int(out[2])
+    if code:
+        raise RuntimeError(f"coxscreen {' '.join(argv)} exited with {code}")
+    return seconds, kilobytes / 1024
+
+
+def time_cli(size, workdir):
+    """Every CLI subcommand as a fresh process on this checkout's coxscreen, `repeats` times each."""
+    repeats = SIZES[size]["repeats"]
+    src = str(Path(coxscreen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.update({var: "1" for var in THREAD_VARS})
+    report = {}
+    for name, params, argv in cli_calls(size, workdir):
+        runs = [_run_cli(argv, workdir, env) for _ in range(repeats)]
+        seconds = [s for s, _ in runs]
+        q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+        report[name] = {"params": params, "argv": argv, "repeats": repeats, "median_s": statistics.median(seconds),
+                        "iqr_s": q3 - q1, "peak_rss_mb": statistics.median(mb for _, mb in runs)}
+    return report
 
 
 def machine_info():
@@ -231,7 +300,8 @@ def run_grid(size="full"):
                             "calls_per_repeat": number, "repeats": repeats,
                             "median_s": median, "iqr_s": iqr, "s_per_unit": median / units}
         peaks = memory(size, workdir)
-    return {"size": size, "seed": SEED, "machine": machine_info(), "layers": layers, "memory": peaks}
+        cli = time_cli(size, workdir)
+    return {"size": size, "seed": SEED, "machine": machine_info(), "layers": layers, "memory": peaks, "cli": cli}
 
 
 def main(argv=None):
@@ -249,6 +319,9 @@ def main(argv=None):
     for name, peak in grid["memory"].items():
         print(f"{name}: traced peak {peak['traced_peak_bytes'] / 2**20:.2f} MB, "
               f"{peak['arrays']:.2f} x {peak['array']}")
+    for name, run in grid["cli"].items():
+        print(f"coxscreen {name}: {run['median_s']:.3f} s (IQR {run['iqr_s']:.3f}), "
+              f"peak RSS {run['peak_rss_mb']:.1f} MB")
     return 0
 
 

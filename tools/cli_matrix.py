@@ -86,6 +86,9 @@ def calls():
                              "--out", f"simulate-ex{k}.csv"])
         for k in (1, 2, 3)
     ]
+    # 700 covariates: the reader crosses about 13 of its 64K-character blocks, and diagnose two chunks
+    runs.append(("simulate-wide", ["simulate", "--example", "1", "--n", "60", "--p", "700", "--seed", SEED,
+                                   "--out", "simulate-wide.csv"]))
     for data in ("simulate-ex1", "tied"):
         for cond in ("none", "1", "1,2,3", "auto"):
             for fmt in ("csv", "json"):
@@ -110,7 +113,15 @@ def calls():
             name = f"screen-shifted-c{cond.replace(',', '')}-{fmt}"
             runs.append((name, ["screen", "--input", "shifted.csv", "--conditioning", cond,
                                 "--stats", "mple,wald,plik", "--format", fmt, "--out", f"{name}.{fmt}"]))
+    for fmt in ("csv", "json"):
+        name = f"screen-wide-{fmt}"
+        runs.append((name, ["screen", "--input", "simulate-wide.csv", "--conditioning", "1",
+                            "--stats", "mple,wald,plik", "--format", fmt, "--out", f"{name}.{fmt}"]))
     runs += [
+        ("diagnose-wide", ["diagnose", "--input", "simulate-wide.csv", "--conditioning", "1",
+                           "--out", "diagnose-wide.csv"]),
+        ("screen-bom", ["screen", "--input", "bom.csv", "--conditioning", "1", "--stats", "mple,wald,plik",
+                        "--out", "screen-bom.csv"]),
         ("diagnose-quoted", ["diagnose", "--input", "quoted.csv", "--conditioning", "2",
                              "--out", "diagnose-quoted.csv"]),
         ("screen-no-candidates", ["screen", "--input", "small.csv", "--conditioning", "1,2,3",
@@ -160,6 +171,8 @@ def run_matrix(outdir):
         write_csv(small_dataset(), "small.csv")
         write_csv(quoted_dataset(), "quoted.csv")
         write_csv(shifted_dataset(), "shifted.csv")
+        with open("tied.csv", "rb") as fh, open("bom.csv", "wb") as out:  # as Excel's "CSV UTF-8" writes it
+            out.write(b"\xef\xbb\xbf" + fh.read())
         config_to_kv(example_config(2, n=60, p=12, censor_target=0.2, seed=int(SEED)), "ex2.kv")
         with open("bad.kv", "w", encoding="utf-8") as fh:
             fh.write("n=abc\np=12\n")
