@@ -25,16 +25,6 @@ from .errors import (
 )
 
 
-def _default_seed():
-    env = os.environ.get("COXSCREEN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"COXSCREEN_SEED must be an integer, got '{env}'") from None
-    return 0
-
-
 def _parse_stats(text):
     stats = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for s in stats:
@@ -59,7 +49,7 @@ def _sim_config(args):
         n=args.n if args.n is not None else 100,
         p=args.p if args.p is not None else 1000,
         censor_target=args.censoring if args.censoring is not None else 0.2,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed if args.seed is not None else 0,
     )
 
 

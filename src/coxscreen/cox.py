@@ -59,7 +59,7 @@ class BatchFit:
     """Row i is the fit on columns + [candidates[i]].
 
     A separation or singular row has NaN numbers and 0 iterations, where
-    ``fit`` would raise.
+    ``fit`` would raise. A constant candidate's row is singular.
     """
 
     coefficients: np.ndarray  # (m, q+1), the candidate's coefficient last
@@ -102,10 +102,14 @@ def _gather(dataset: SurvivalDataset, columns):
     """The given 1-based columns as one contiguous (len(columns), n) array, rows in descending time.
 
     The columns are taken first, which reads each covariate row once, and the
-    time order is then applied to that (n, len(columns)) copy.
+    time order is then applied to that (n, len(columns)) copy. A constant
+    column cancels from every risk-set ratio, so its row is the zero row: the
+    same model, whose information is singular in that coordinate.
     """
     columns = np.asarray(columns, dtype=int) - 1
-    return dataset.covariates.take(columns, axis=1).T.take(_sorted_view(dataset).order, axis=1)
+    rows = dataset.covariates.take(columns, axis=1).T.take(_sorted_view(dataset).order, axis=1)
+    rows[rows.max(axis=1) == rows.min(axis=1)] = 0.0
+    return rows
 
 
 def _rows(dataset: SurvivalDataset, columns):
@@ -166,9 +170,15 @@ def _score_info(view: _SortedView, rows, w, s0):
             s2 -= means[a] * means[b]
             info[:, a, b] = info[:, b, a] = np.sum(s2, axis=1)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
-        finite = np.logical_and.reduce([np.isfinite(mean).all(axis=0) for mean in means])
-        bad = np.nonzero(~finite)[0]
-        t = view.event_times[bad[0]] if bad.size else float("nan")
+        # name the first event, in ascending time, where a running sum of the terms stops being finite
+        with np.errstate(all="ignore"):
+            terms = [rows[a].take(view.event_pos, axis=-1) - means[a] for a in range(d)] + [
+                _risk_set_sums(view, np.cumsum(weighted[a] * rows[b], axis=1), s0) - means[a] * means[b]
+                for a in range(d) for b in range(a, d)
+            ]
+            finite = np.logical_and.reduce([np.isfinite(np.cumsum(term, axis=1)).all(axis=0) for term in terms])
+        bad = np.flatnonzero(~finite)  # empty if only a total overflowed: then the last event
+        t = view.event_times[bad[0] if bad.size else -1]
         raise ValidationError(f"non-finite score/information contribution at event time {t}")
     return score, info
 
@@ -276,10 +286,11 @@ def fit_batch(dataset: SurvivalDataset, columns, candidates, start) -> BatchFit:
     the status, iterations and numbers of that iteration from (start, 0) bit
     for bit, whichever candidates share its chunk: where fit raises
     SeparationError or NonIdentifiableError the row has the SEPARATION or
-    SINGULAR status. A non-finite score or information still raises
-    ValidationError. Memory stays at a fixed number of (chunk, n) arrays, a
-    chunk being _CHUNK_ELEMENTS // n candidates or _MIN_CHUNK, whichever is
-    more.
+    SINGULAR status. A constant column is the zero column, so a constant
+    candidate is SINGULAR without a step. A non-finite score or information
+    still raises ValidationError. Memory stays at a fixed number of (chunk, n)
+    arrays, a chunk being _CHUNK_ELEMENTS // n candidates or _MIN_CHUNK,
+    whichever is more.
     """
     _check_dimension(dataset, len(columns) + 1)
     start = np.asarray(start, dtype=float)

@@ -104,9 +104,9 @@ def screen(
 ) -> ScreeningResult:
     """Fit every (q+1)-dimensional marginal model and rank the candidates.
 
-    Every candidate but the constant ones runs in one in-process
-    ``cox.fit_batch`` call; a constant candidate is SINGULAR. ``workers`` is
-    not a setting: it accepts only 1, so existing ``workers=1`` calls still run.
+    Every candidate runs in one in-process ``cox.fit_batch`` call, which
+    reports a constant candidate SINGULAR. ``workers`` is not a setting: it
+    accepts only 1, so existing ``workers=1`` calls still run.
     """
     if workers != 1:
         raise ValidationError(f"screen runs in one process; workers must be 1, got {workers!r}")
@@ -128,16 +128,7 @@ def screen(
         raise NonIdentifiableError("null model on the conditioning set did not converge")
 
     candidates = np.array(conditioning.complement(dataset.p), dtype=int)
-    # a constant candidate adds nothing to C: it is SINGULAR on every input, so it is not fitted
-    varies = ~np.isin(candidates, report.constant_columns)
-    fitted_rows = cox.fit_batch(dataset, conditioning.indices, candidates[varies], null_fit.coefficients)
-    m = len(candidates)
-    batch = cox.BatchFit(
-        np.full((m, conditioning.q + 1), np.nan), np.full(m, np.nan), np.full(m, np.nan),
-        np.zeros(m, dtype=int), np.full(m, SINGULAR, dtype=object),
-    )
-    for field in fields(cox.BatchFit):
-        getattr(batch, field.name)[varies] = getattr(fitted_rows, field.name)
+    batch = cox.fit_batch(dataset, conditioning.indices, candidates, null_fit.coefficients)
     coefficients, variance, status = batch.coefficients, batch.variance, batch.status
     fitted = status == CONVERGED
     singular = fitted & ~(np.isfinite(variance) & (variance > 0))

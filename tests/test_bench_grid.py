@@ -19,10 +19,10 @@ LAYERS = {
     "benchmark.run_replicate",
 }
 LAYER_KEYS = {"params", "unit", "units_per_call", "calls_per_repeat", "repeats", "median_s", "iqr_s",
-              "s_per_unit"}
+              "s_per_unit", "minor_faults_per_call"}
 MEMORY_KEYS = {"params", "array", "array_bytes", "traced_peak_bytes", "arrays"}
 CLI = {"simulate", "calibrate", "screen", "diagnose", "benchmark"}
-CLI_KEYS = {"params", "argv", "repeats", "median_s", "iqr_s", "peak_rss_mb"}
+CLI_KEYS = {"params", "argv", "repeats", "median_s", "iqr_s", "peak_rss_mb", "minor_faults"}
 
 
 def test_tiny_grid_schema(tmp_path, capsys):
@@ -48,6 +48,7 @@ def test_tiny_grid_schema(tmp_path, capsys):
         assert layer["units_per_call"] > 0 and layer["calls_per_repeat"] >= 1
         assert layer["median_s"] > 0 and layer["iqr_s"] >= 0
         assert math.isclose(layer["s_per_unit"], layer["median_s"] / layer["units_per_call"])
+        assert layer["minor_faults_per_call"] >= 0
         if name.startswith("screening.screen["):
             assert layer["units_per_call"] == layer["params"]["p"] - layer["params"]["q"], name
 
@@ -64,5 +65,6 @@ def test_tiny_grid_schema(tmp_path, capsys):
         assert set(run) == CLI_KEYS, name
         assert run["argv"][0] == name and run["repeats"] == grid.SIZES["tiny"]["repeats"]
         assert run["median_s"] > 0 and run["iqr_s"] >= 0 and run["peak_rss_mb"] > 0
+        assert run["minor_faults"] > 0
     printed = len(expected) + len(report["memory"]) + len(report["cli"])
     assert len(capsys.readouterr().out.splitlines()) == printed

@@ -104,14 +104,6 @@ def test_bad_flag_value_reported(toy_csv, tmp_path, monkeypatch, capsys, argv, l
     assert os.listdir(tmp_path) == ["toy.csv"]
 
 
-def test_non_integer_seed_variable_reported(monkeypatch, capsys):
-    monkeypatch.setenv("COXSCREEN_SEED", "4.5")
-    assert main(["calibrate", "--example", "2", "--n", "50", "--p", "4", "--target", "0.2"]) == 1
-    assert capsys.readouterr().err == (
-        "error category=config: COXSCREEN_SEED must be an integer, got '4.5'\n"
-    )
-
-
 class TestScreenCommand:
     def test_conditional_screen_writes_records_and_selection(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
@@ -145,6 +137,22 @@ class TestScreenCommand:
         code = main(["screen", "--input", str(path), "--conditioning", "1,3", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error category=fit: conditioning column 3 is constant\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("conditioning", ["none", "1"])
+    def test_overflowing_second_moment_names_its_event_time(self, rng, tmp_path, capsys, conditioning):
+        ds = random_dataset(rng, 30, 3, censor_upper=3.0)
+        z = ds.covariates.copy()
+        z[:, 2] *= 1e160  # its squares overflow, its values do not
+        path = tmp_path / "huge.csv"
+        write_csv(type(ds)(ds.time, ds.status, z), path)
+        out = tmp_path / "res.csv"
+        assert main(["screen", "--input", str(path), "--conditioning", conditioning, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        head = "error category=validation: non-finite score/information contribution at event time "
+        assert err.startswith(head) and err.endswith("\n")
+        t = float(err[len(head) : -1])
+        assert np.isfinite(t) and t in ds.time[ds.status == 1]
         assert not out.exists()
 
     def test_gamma_and_top_k_exclusive(self, toy_csv, tmp_path, capsys):
@@ -314,16 +322,6 @@ class TestSimulateCommand:
                   "--seed", seed, "--out", out])
             outs.append(open(out).read())
         assert outs[0] != outs[1]
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("COXSCREEN_SEED", "9")
-        out_env = str(tmp_path / "env.csv")
-        main(["simulate", "--example", "2", "--n", "20", "--p", "4", "--censoring", "0",
-              "--out", out_env])
-        out_flag = str(tmp_path / "flag.csv")
-        main(["simulate", "--example", "2", "--n", "20", "--p", "4", "--censoring", "0",
-              "--seed", "9", "--out", out_flag])
-        assert open(out_env).read() == open(out_flag).read()
 
     def test_config_file_with_override(self, tmp_path):
         from coxscreen.simulate import config_to_kv, example_config

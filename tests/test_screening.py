@@ -199,13 +199,27 @@ class TestBatchedSweep:
         assert result.rankings["wald"][-1] == 3
 
     def test_constant_candidate_column(self, rng):
-        # it adds nothing to C, so it is singular and unfitted with any C and any constant value;
-        # fitted with an empty C, a constant 3.7 converges on rounding-noise information
+        # it cancels from every risk-set ratio, so the engine fits it as the zero column: singular,
+        # with no step, with any C and any constant value; fitted as it stands, a constant 3.7
+        # converges on rounding-noise information and 1e200 overflows
         ds = tied_censored_dataset(rng, 60, 4, 2)
         for value in (3.7, 3.0, 0.0, -2.5e6, 1e200):
             z = ds.covariates.copy()
             z[:, 2] = value
             constant = SurvivalDataset(ds.time, ds.status, z)
+            for columns in ([3], [1, 3]):
+                with pytest.raises(NonIdentifiableError):
+                    fit(constant, columns)
+            start = fit(constant, [1]).coefficients
+            batch = cox.fit_batch(constant, [1], [2, 3, 4], start)
+            assert (batch.status[1], batch.iterations[1]) == (SINGULAR, 0)
+            assert np.isnan([*batch.coefficients[1], batch.loglik[1], batch.variance[1]]).all()
+            varying = cox.fit_batch(constant, [1], [2, 4], start)
+            assert batch.status[[0, 2]].tolist() == varying.status.tolist()
+            for name in ("coefficients", "loglik", "variance", "iterations"):
+                assert getattr(batch, name)[[0, 2]].tobytes() == getattr(varying, name).tobytes()
+            betas = (-1e308, -2.0, 0.0, 0.5, 1e308)
+            assert len({cox.log_partial_likelihood(constant, [3], [b]) for b in betas}) == 1
             for cond in ((), (1,), (1, 2)):
                 result = assert_matches_oracle(constant, ConditioningSet(cond))
                 rec = record(result, 3)

@@ -7,7 +7,8 @@ Usage:
 Each layer is called once to warm up, then timed over a fixed number of
 repeats, each of enough calls to fill a minimum time. The JSON file gives,
 per layer, the median and interquartile range of the seconds per call, the
-unit of work, the units per call and the seconds per unit. It also gives the
+unit of work, the units per call, the seconds per unit and the minor page
+faults per call over the timed repeats (from ``getrusage``). It also gives the
 tracemalloc peak of one censoring calibration, one ``gen_replicate``, one
 ``read_csv``, the first ``screen`` of a dataset at q=1, one
 ``result_to_json`` and one ``signal_strengths_to_csv``, in bytes and in
@@ -23,8 +24,10 @@ diagnose pass (``diagnostics.signal_strengths_to_csv``) and one
 subcommand (``simulate``, ``calibrate``, ``screen``, ``diagnose`` and
 ``benchmark``) runs the same number of repeats as a fresh
 ``python -m coxscreen.cli`` process on the replicate size, with the median
-and interquartile range of its wall seconds and the median of its peak
-resident memory, which ``os.wait4`` reports. Absolute times move with the
+and interquartile range of its wall seconds and the medians of its peak
+resident memory and of its minor page faults, which ``os.wait4`` reports.
+Page faults show where the allocator maps fresh memory, which can move a
+timing as much as the arithmetic does. Absolute times move with the
 host's load, so compare two checkouts by running the script against each
 ``src`` on the same machine, one after the other.
 """
@@ -36,6 +39,7 @@ import gc
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -86,8 +90,15 @@ def _dataset(n, p, replicate_id=0):
     return simulate.gen_replicate(config, replicate_id).dataset
 
 
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _time(call, repeats, min_repeat_s):
-    """Seconds per call: one warm-up call, then `repeats` timed repeats of `number` calls."""
+    """Seconds per call: one warm-up call, then `repeats` timed repeats of `number` calls.
+
+    Also returns the minor page faults per call over the timed repeats.
+    """
     call()
     number = 1
     while True:
@@ -99,14 +110,16 @@ def _time(call, repeats, min_repeat_s):
             break
         number *= 2
     per_call = []
+    faults = _minor_faults()
     for _ in range(repeats):
         gc.collect()
         start = time.perf_counter()
         for _ in range(number):
             call()
         per_call.append((time.perf_counter() - start) / number)
+    faults = (_minor_faults() - faults) / (repeats * number)
     q1, _, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
-    return statistics.median(per_call), q3 - q1, number
+    return statistics.median(per_call), q3 - q1, number, faults
 
 
 def _replicate_config(spec):
@@ -229,9 +242,9 @@ def cli_calls(size, workdir):
     ]
 
 
-# A fresh interpreter spawns the CLI and prints its wall seconds, exit code and peak RSS (Linux:
-# kilobytes). The CLI is not spawned from this process, as a child's peak RSS counts the memory of
-# the process it was forked from.
+# A fresh interpreter spawns the CLI and prints its wall seconds, exit code, peak RSS (Linux:
+# kilobytes) and minor page faults. The CLI is not spawned from this process, as a child's peak
+# RSS counts the memory of the process it was forked from.
 _SPAWN = """
 import os, sys, time
 start = time.perf_counter()
@@ -239,18 +252,18 @@ null = os.open(os.devnull, os.O_WRONLY)
 pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "coxscreen.cli", *sys.argv[1:]], os.environ,
                      file_actions=[(os.POSIX_SPAWN_DUP2, null, 1), (os.POSIX_SPAWN_DUP2, null, 2)])
 _, status, usage = os.wait4(pid, 0)
-print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
 """
 
 
 def _run_cli(argv, workdir, env):
-    """Wall seconds and peak resident MB of one ``python -m coxscreen.cli`` process."""
+    """Wall seconds, peak resident MB and minor page faults of one ``python -m coxscreen.cli`` process."""
     out = subprocess.run([sys.executable, "-c", _SPAWN, *argv], cwd=workdir, env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    seconds, code, kilobytes = float(out[0]), int(out[1]), int(out[2])
+    seconds, code, kilobytes, faults = float(out[0]), int(out[1]), int(out[2]), int(out[3])
     if code:
         raise RuntimeError(f"coxscreen {' '.join(argv)} exited with {code}")
-    return seconds, kilobytes / 1024
+    return seconds, kilobytes / 1024, faults
 
 
 def time_cli(size, workdir):
@@ -262,10 +275,11 @@ def time_cli(size, workdir):
     report = {}
     for name, params, argv in cli_calls(size, workdir):
         runs = [_run_cli(argv, workdir, env) for _ in range(repeats)]
-        seconds = [s for s, _ in runs]
+        seconds = [s for s, _, _ in runs]
         q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
         report[name] = {"params": params, "argv": argv, "repeats": repeats, "median_s": statistics.median(seconds),
-                        "iqr_s": q3 - q1, "peak_rss_mb": statistics.median(mb for _, mb in runs)}
+                        "iqr_s": q3 - q1, "peak_rss_mb": statistics.median(mb for _, mb, _ in runs),
+                        "minor_faults": statistics.median(faults for _, _, faults in runs)}
     return report
 
 
@@ -295,10 +309,11 @@ def run_grid(size="full"):
     layers = {}
     with tempfile.TemporaryDirectory(prefix="bench_grid_") as workdir:
         for name, params, unit, units, call in layer_calls(size, workdir):
-            median, iqr, number = _time(call, repeats, min_repeat_s)
+            median, iqr, number, faults = _time(call, repeats, min_repeat_s)
             layers[name] = {"params": params, "unit": unit, "units_per_call": units,
                             "calls_per_repeat": number, "repeats": repeats,
-                            "median_s": median, "iqr_s": iqr, "s_per_unit": median / units}
+                            "median_s": median, "iqr_s": iqr, "s_per_unit": median / units,
+                            "minor_faults_per_call": faults}
         peaks = memory(size, workdir)
         cli = time_cli(size, workdir)
     return {"size": size, "seed": SEED, "machine": machine_info(), "layers": layers, "memory": peaks, "cli": cli}
@@ -315,13 +330,14 @@ def main(argv=None):
         fh.write("\n")
     for name, layer in grid["layers"].items():
         print(f"{name}: {layer['median_s'] * 1e3:.3f} ms (IQR {layer['iqr_s'] * 1e3:.3f}), "
-              f"{layer['s_per_unit'] * 1e6:.3f} us per {layer['unit'].rstrip('s')}")
+              f"{layer['s_per_unit'] * 1e6:.3f} us per {layer['unit'].rstrip('s')}, "
+              f"{layer['minor_faults_per_call']:.0f} minor faults per call")
     for name, peak in grid["memory"].items():
         print(f"{name}: traced peak {peak['traced_peak_bytes'] / 2**20:.2f} MB, "
               f"{peak['arrays']:.2f} x {peak['array']}")
     for name, run in grid["cli"].items():
         print(f"coxscreen {name}: {run['median_s']:.3f} s (IQR {run['iqr_s']:.3f}), "
-              f"peak RSS {run['peak_rss_mb']:.1f} MB")
+              f"peak RSS {run['peak_rss_mb']:.1f} MB, {run['minor_faults']:.0f} minor faults")
     return 0
 
 
