@@ -10,7 +10,6 @@ from .baselines import BaselineResult, cors, cris, ipw_weights
 from .benchmark import ALL_METHODS, run_benchmark
 from .cox import CoxFit, fit, log_partial_likelihood, score_and_information
 from .data import (
-    ColumnSchema,
     ConditioningSet,
     SurvivalDataset,
     read_csv,

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import benchmark, diagnostics, metrics, screening, simulate
-from .data import ColumnSchema, read_csv, write_csv, write_rows
+from .data import read_csv, write_csv, write_rows
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -36,26 +36,21 @@ def _parse_stats(text):
 
 
 def _sim_config(args):
+    """The --example or --config design, with the fields of the flags that were given."""
     if args.example is not None and args.config:
         raise ConfigError("choose exactly one of --example and --config")
+    flags = {"n": args.n, "p": args.p, "censor_target": args.censoring, "seed": args.seed}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     if args.config:
-        flags = {"n": args.n, "p": args.p, "censor_target": args.censoring, "seed": args.seed}
-        overrides = {name: value for name, value in flags.items() if value is not None}
         return replace(simulate.config_from_kv(args.config), **overrides)
     if args.example is None:
         raise ConfigError("either --example or --config is required")
-    return simulate.example_config(
-        args.example,
-        n=args.n if args.n is not None else 100,
-        p=args.p if args.p is not None else 1000,
-        censor_target=args.censoring if args.censoring is not None else 0.2,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    return simulate.example_config(args.example, **overrides)
 
 
 def _dataset_and_conditioning(args):
     """The --input dataset and the C that --conditioning names on it; an auto C is reported."""
-    dataset = read_csv(args.input, ColumnSchema(args.time_col, args.status_col))
+    dataset = read_csv(args.input, args.time_col, args.status_col)
     cond = screening.resolve_conditioning(args.conditioning, dataset)
     if args.conditioning == screening.AUTO:
         print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)

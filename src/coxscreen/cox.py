@@ -1,8 +1,10 @@
 """Newton maximum partial likelihood solver for low-dimensional Cox models.
 
 Ties use the Breslow convention: every event at a tied time shares the full
-risk-set denominator. The solver is meant for the small (q+1)-dimensional
-marginal fits of a screening sweep, not for wide models.
+risk-set denominator. The rows are held in descending time, censorings
+before events at a tied time (in ascending time, events sort before
+censorings). The solver is meant for the small (q+1)-dimensional marginal
+fits of a screening sweep, not for wide models.
 
 One damped Newton engine, ``_newton``, fits a stack of models that share
 the columns C and differ in one last column, one row per model, each row with
@@ -36,6 +38,9 @@ _CONDITION_LIMIT = 1e12
 # fit_batch takes _CHUNK_ELEMENTS // n candidates at a time, but at least _MIN_CHUNK
 _CHUNK_ELEMENTS = 1 << 14
 _MIN_CHUNK = 8
+# The public functions run the kernels with numpy's floating-point warnings off:
+# every non-finite value becomes a status or a ValidationError instead.
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 CONVERGED = "converged"
 SEPARATION = "separation"
@@ -72,21 +77,21 @@ class BatchFit:
 class _SortedView:
     """Per-dataset precomputation shared by all likelihood evaluations.
 
-    It keeps the descending-time order of the rows and the event structure,
-    not the covariates: ``_gather`` copies the columns a call needs into one
+    It keeps the order of the rows, by descending time with censorings
+    before events at a tied time, and the event structure, not the
+    covariates: ``_gather`` copies the columns a call needs into one
     contiguous row per column, in that order, so a forward cumulative sum
-    gives every risk-set sum.
+    gives every risk-set sum. Both come from the dataset's time and status.
     """
 
     def __init__(self, dataset: SurvivalDataset):
-        self.order = dataset.sorted_index[::-1].copy()
+        self.order = np.lexsort((1 - dataset.status, dataset.time))[::-1].copy()
         self.n = dataset.n
         time = dataset.time[self.order]
         events = np.nonzero(dataset.status[self.order] == 1)[0][::-1]  # ascending time
-        # last position of each tied-time group: the Breslow risk set ends there
-        _, first_idx, inverse = np.unique(time[::-1], return_index=True, return_inverse=True)
         self.event_pos = events
-        self.event_groups = (self.n - 1 - first_idx[inverse])[self.n - 1 - events]
+        # the last position of each event's tied-time group: its Breslow risk set ends there
+        self.event_groups = np.searchsorted(-time, -time[events], side="right") - 1
         self.event_times = time[events]
 
 
@@ -171,12 +176,11 @@ def _score_info(view: _SortedView, rows, w, s0):
             info[:, a, b] = info[:, b, a] = np.sum(s2, axis=1)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
         # name the first event, in ascending time, where a running sum of the terms stops being finite
-        with np.errstate(all="ignore"):
-            terms = [rows[a].take(view.event_pos, axis=-1) - means[a] for a in range(d)] + [
-                _risk_set_sums(view, np.cumsum(weighted[a] * rows[b], axis=1), s0) - means[a] * means[b]
-                for a in range(d) for b in range(a, d)
-            ]
-            finite = np.logical_and.reduce([np.isfinite(np.cumsum(term, axis=1)).all(axis=0) for term in terms])
+        terms = [rows[a].take(view.event_pos, axis=-1) - means[a] for a in range(d)] + [
+            _risk_set_sums(view, np.cumsum(weighted[a] * rows[b], axis=1), s0) - means[a] * means[b]
+            for a in range(d) for b in range(a, d)
+        ]
+        finite = np.logical_and.reduce([np.isfinite(np.cumsum(term, axis=1)).all(axis=0) for term in terms])
         bad = np.flatnonzero(~finite)  # empty if only a total overflowed: then the last event
         t = view.event_times[bad[0] if bad.size else -1]
         raise ValidationError(f"non-finite score/information contribution at event time {t}")
@@ -218,6 +222,7 @@ def _singular_at_solution(info):
     return (eigs[:, -1] <= 0) | (eigs[:, 0] <= eigs[:, -1] / _CONDITION_LIMIT)
 
 
+@_QUIET
 def log_partial_likelihood(dataset: SurvivalDataset, columns, beta) -> float:
     """Breslow log partial likelihood for the model on the given 1-based columns."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -230,6 +235,7 @@ def log_partial_likelihood(dataset: SurvivalDataset, columns, beta) -> float:
     return ll
 
 
+@_QUIET
 def score_and_information(dataset: SurvivalDataset, columns, beta):
     """Score vector V(beta) and observed information I(beta) = -dV/dbeta."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -247,6 +253,7 @@ def _check_dimension(dataset, d):
         raise ValidationError(f"model dimension {d} too large for n={dataset.n}")
 
 
+@_QUIET
 def fit(dataset: SurvivalDataset, columns) -> CoxFit:
     """Maximize the partial likelihood over the given columns by damped Newton from 0.
 
@@ -278,6 +285,7 @@ def fit(dataset: SurvivalDataset, columns) -> CoxFit:
     )
 
 
+@_QUIET
 def fit_batch(dataset: SurvivalDataset, columns, candidates, start) -> BatchFit:
     """The fits on columns + [j] for every candidate j, each from (start, 0), a chunk at a time.
 

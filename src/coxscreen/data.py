@@ -1,11 +1,10 @@
-"""Right-censored survival data: containers, validation, CSV I/O.
+"""Right-censored survival data: the dataset container, the event check, CSV I/O.
 
 Conventions used throughout the package:
 
 * observation (row) indices are 0-based,
 * covariate indices are 1-based (``1..p``), matching the usual "variable j"
-  language of screening output,
-* at tied follow-up times, events sort before censorings.
+  language of screening output.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import csv
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +57,7 @@ class SurvivalDataset:
         self.covariate_names = covariate_names
         for a in (self.time, self.status, self.covariates):
             a.setflags(write=False)
-        # ascending time; events (status 1) before censorings at ties
-        self.sorted_index = np.lexsort((1 - self.status, self.time))
-        self.sorted_index.setflags(write=False)
-        self._sorted_cache = None
+        self._sorted_cache = None  # cox's time-ordered view, built on first use
 
     @property
     def n(self):
@@ -122,34 +118,17 @@ class ConditioningSet:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    n: int
-    p: int
-    events: int
-    censored: int
-    constant_columns: list = field(default_factory=list)  # 1-based
-
-
-@dataclass(frozen=True)
 class ScalingInfo:
     means: np.ndarray
     scales: np.ndarray
 
 
-def validate(dataset: SurvivalDataset) -> ValidationReport:
-    """Summarize a dataset and reject degenerate inputs (no events)."""
+def validate(dataset: SurvivalDataset) -> int:
+    """The number of events; a dataset without one is a ValidationError."""
     events = int(np.sum(dataset.status))
     if events == 0:
         raise ValidationError("no events: all observations are censored")
-    col_range = dataset.covariates.max(axis=0) - dataset.covariates.min(axis=0)
-    constant = [int(j) + 1 for j in np.nonzero(col_range == 0.0)[0]]
-    return ValidationReport(
-        n=dataset.n,
-        p=dataset.p,
-        events=events,
-        censored=dataset.n - events,
-        constant_columns=constant,
-    )
+    return events
 
 
 def standardize(dataset: SurvivalDataset):
@@ -163,12 +142,6 @@ def standardize(dataset: SurvivalDataset):
     z = (dataset.covariates - means) / scales
     out = SurvivalDataset(dataset.time, dataset.status, z, dataset.covariate_names)
     return out, ScalingInfo(means=means, scales=scales)
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    time_col: str = "time"
-    status_col: str = "status"
 
 
 def _parse_cell(text, row, col_name):
@@ -222,15 +195,17 @@ def _per_cell_rows(lines, header, columns, path, first_row):
         yield [_parse_cell(row[k], row_num, header[k]) for k in columns]
 
 
-def read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
+def read_csv(path, time_col="time", status_col="status") -> SurvivalDataset:
     """Load a dataset from a comma-separated UTF-8 file with a header row.
 
-    A byte-order mark at the start of the file is skipped. The body is read a
+    The columns named time_col and status_col are the follow-up time and the
+    event status; every other column is a covariate, in file order. A
+    byte-order mark at the start of the file is skipped. The body is read a
     block of lines at a time and parsed into the dataset's own arrays, so
     besides the dataset the reader holds one block of lines and its table.
     """
     try:
-        cov_names, time, status, covariates = _read_blocks(path, schema)
+        cov_names, time, status, covariates = _read_blocks(path, time_col, status_col)
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over csv's field limit
         raise CSVParseError(f"{path}: {exc}") from None
     rows = time.shape[0]
@@ -245,7 +220,7 @@ def _resize(arrays, rows):
         a.resize((rows, *a.shape[1:]), refcheck=False)
 
 
-def _read_blocks(path, schema):
+def _read_blocks(path, time_col, status_col):
     """(covariate names, time, status, covariates), the arrays C-contiguous and filled as parsed.
 
     Each block of lines is parsed in bulk. From the first block the bulk path
@@ -262,20 +237,20 @@ def _read_blocks(path, schema):
         except StopIteration:
             raise CSVParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        for required in (schema.time_col, schema.status_col):
+        for required in (time_col, status_col):
             if required not in header:
                 raise CSVParseError(f"{path}: missing required column '{required}'")
-        cov_names = [h for h in header if h not in (schema.time_col, schema.status_col)]
+        cov_names = [h for h in header if h not in (time_col, status_col)]
         if not cov_names:
             raise CSVParseError(f"{path}: no covariate columns")
-        if schema.time_col == schema.status_col:
-            raise CSVParseError(f"{path}: column '{schema.time_col}' is both time and status")
+        if time_col == status_col:
+            raise CSVParseError(f"{path}: column '{time_col}' is both time and status")
         pos = {name: k for k, name in enumerate(header)}
         if len(pos) < len(header):
             duplicate = next(name for k, name in enumerate(header) if pos[name] != k)
             raise CSVParseError(f"{path}: duplicate column '{duplicate}'")
 
-        columns = [pos[schema.time_col], pos[schema.status_col], *(pos[name] for name in cov_names)]
+        columns = [pos[time_col], pos[status_col], *(pos[name] for name in cov_names)]
         cov_columns = np.array(columns[2:])
         arrays = time, status, covariates = np.empty(0), np.empty(0), np.empty((0, len(cov_names)))
         left = os.fstat(fh.fileno()).st_size  # bytes, at least the characters not yet read

@@ -110,17 +110,16 @@ def screen(
     """
     if workers != 1:
         raise ValidationError(f"screen runs in one process; workers must be 1, got {workers!r}")
-    report = validate(dataset)
+    events = validate(dataset)
     conditioning.check_against(dataset)
     for name in statistics:
         if name not in STATISTICS:
             raise ValidationError(f"unknown statistic '{name}'")
-    if conditioning.q + 1 >= report.events:
-        raise ValidationError(
-            f"conditioning set size {conditioning.q} too large for {report.events} events"
-        )
+    if conditioning.q + 1 >= events:
+        raise ValidationError(f"conditioning set size {conditioning.q} too large for {events} events")
     for j in conditioning.indices:
-        if j in report.constant_columns:
+        column = dataset.column(j)
+        if column.max() == column.min():  # the rule by which cox._gather zeroes a column
             raise NonIdentifiableError(f"conditioning column {j} is constant")
 
     null_fit = cox.fit(dataset, conditioning.indices)

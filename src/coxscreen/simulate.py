@@ -341,22 +341,6 @@ def gen_replicate(config: SimConfig, replicate_id: int) -> SimReplicate:
     )
 
 
-def config_to_kv(config: SimConfig, path):
-    """Serialize to a flat key=value file (beta entries as beta.<j>=<value>)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n={config.n}\n")
-        fh.write(f"p={config.p}\n")
-        for j in sorted(config.beta):
-            fh.write(f"beta.{j}={config.beta[j]!r}\n")
-        fh.write(f"intercept={config.intercept!r}\n")
-        fh.write(f"correlation={config.correlation}\n")
-        fh.write(f"rho={config.rho!r}\n")
-        fh.write(f"censor_target={config.censor_target!r}\n")
-        if config.censor_upper is not None:
-            fh.write(f"censor_upper={config.censor_upper!r}\n")
-        fh.write(f"seed={config.seed}\n")
-
-
 # the SimConfig fields a kv file sets, with their types; beta.<j>=<value> lines set beta
 _KV_FIELDS = {
     "n": int,
@@ -368,6 +352,23 @@ _KV_FIELDS = {
     "censor_upper": float,
     "seed": int,
 }
+
+
+def config_to_kv(config: SimConfig, path):
+    """Serialize to a flat key=value file, one line per _KV_FIELDS field in its order.
+
+    The beta.<j>=<value> lines follow p, floats are written as their repr,
+    and censor_upper only when it is set.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, kind in _KV_FIELDS.items():
+            value = getattr(config, key)
+            if value is None:
+                continue
+            fh.write(f"{key}={value!r}\n" if kind is float else f"{key}={value}\n")
+            if key == "p":
+                for j in sorted(config.beta):
+                    fh.write(f"beta.{j}={config.beta[j]!r}\n")
 
 
 def _kv_value(path, line_num, key, text, kind):

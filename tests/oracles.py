@@ -22,7 +22,7 @@ import numpy as np
 
 from coxscreen import cox, simulate
 from coxscreen.baselines import CRIS, BaselineResult, ipw_weights
-from coxscreen.data import ColumnSchema, SurvivalDataset
+from coxscreen.data import SurvivalDataset
 from coxscreen.errors import (
     CalibrationError,
     CSVParseError,
@@ -453,7 +453,7 @@ def _parse_cell(text, row, col_name):
     return value
 
 
-def per_cell_read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDataset:
+def per_cell_read_csv(path, time_col="time", status_col="status") -> SurvivalDataset:
     """Load a dataset from a comma-separated UTF-8 file with a header row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -462,10 +462,10 @@ def per_cell_read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDa
         except StopIteration:
             raise CSVParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        for required in (schema.time_col, schema.status_col):
+        for required in (time_col, status_col):
             if required not in header:
                 raise CSVParseError(f"{path}: missing required column '{required}'")
-        cov_names = [h for h in header if h not in (schema.time_col, schema.status_col)]
+        cov_names = [h for h in header if h not in (time_col, status_col)]
         if not cov_names:
             raise CSVParseError(f"{path}: no covariate columns")
         pos = {name: header.index(name) for name in header}
@@ -476,8 +476,8 @@ def per_cell_read_csv(path, schema: ColumnSchema = ColumnSchema()) -> SurvivalDa
                 continue
             if len(row) != len(header):
                 raise CSVParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            times.append(_parse_cell(row[pos[schema.time_col]], row_num, schema.time_col))
-            statuses.append(_parse_cell(row[pos[schema.status_col]], row_num, schema.status_col))
+            times.append(_parse_cell(row[pos[time_col]], row_num, time_col))
+            statuses.append(_parse_cell(row[pos[status_col]], row_num, status_col))
             rows.append([_parse_cell(row[pos[name]], row_num, name) for name in cov_names])
 
     if len(rows) < 2:

@@ -1,12 +1,16 @@
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coxscreen
 from coxscreen.benchmark import ALL_METHODS
 from coxscreen.cli import main
-from coxscreen.data import write_csv
+from coxscreen.data import write_csv, write_rows
 from coxscreen.screening import STATISTICS
 
 from conftest import random_dataset
@@ -154,6 +158,24 @@ class TestScreenCommand:
         t = float(err[len(head) : -1])
         assert np.isfinite(t) and t in ds.time[ds.status == 1]
         assert not out.exists()
+
+    @pytest.mark.parametrize("conditioning", ["none", "1"])
+    def test_overflow_leaves_one_stderr_line(self, tmp_path, conditioning):
+        # a fresh process with Python's default warning filters, which print each numpy RuntimeWarning
+        rows = [[i + 1, int(i % 4 != 0), (7 * i) % 11 - 5, (5 * i) % 13 - 6, (i % 7 - 3) * 1e160]
+                for i in range(30)]
+        write_rows(tmp_path / "overflow.csv", ["time", "status", "z1", "z2", "z3"], rows)
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        src = str(Path(coxscreen.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["screen", "--input", "overflow.csv", "--conditioning", conditioning, "--out", "res.csv"]
+        proc = subprocess.run([sys.executable, "-m", "coxscreen.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error category=validation: non-finite score/information contribution at event time 2.0\n"
+        )
 
     def test_gamma_and_top_k_exclusive(self, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "res.csv")

@@ -68,6 +68,12 @@ class TestLogPartialLikelihood:
         value = log_partial_likelihood(ds, [1], [300.0])
         assert np.isfinite(value)
 
+    @pytest.mark.parametrize("beta", [[0.5], [0.5, 0.1, 0.2]], ids=["short", "long"])
+    def test_beta_length_must_match_the_columns(self, rng, beta):
+        ds = random_dataset(rng, 10, 2)
+        with pytest.raises(ValidationError, match="^beta length must match the number of columns$"):
+            log_partial_likelihood(ds, [1, 2], beta)
+
 
 class TestScoreAndInformation:
     def test_score_at_zero_is_event_contrasts(self, rng):
@@ -109,6 +115,12 @@ class TestScoreAndInformation:
         _, info = score_and_information(ds, [1, 2, 3], [0.1, -0.2, 0.3])
         np.testing.assert_allclose(info, info.T)
         assert np.linalg.eigvalsh(info).min() >= -1e-10
+
+    @pytest.mark.parametrize("beta", [[0.5], [0.5, 0.1, 0.2]], ids=["short", "long"])
+    def test_beta_length_must_match_the_columns(self, rng, beta):
+        ds = random_dataset(rng, 10, 2)
+        with pytest.raises(ValidationError, match="^beta length must match the number of columns$"):
+            score_and_information(ds, [1, 2], beta)
 
 
 class TestFit:

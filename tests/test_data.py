@@ -5,9 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coxscreen import data
+from coxscreen import cox, data
 from coxscreen.data import (
-    ColumnSchema,
     ConditioningSet,
     SurvivalDataset,
     read_csv,
@@ -30,18 +29,12 @@ def make(times, statuses, covs):
 class TestValidate:
     def test_event_counts(self):
         ds = make([1, 2, 3], [1, 0, 1], [[0.1], [0.2], [0.3]])
-        report = validate(ds)
-        assert report.events == 2
-        assert report.censored == 1
+        assert validate(ds) == 2
 
     def test_all_censored_rejected(self):
         ds = make([1, 2, 3], [0, 0, 0], [[0.1], [0.2], [0.3]])
         with pytest.raises(ValidationError, match="no events"):
             validate(ds)
-
-    def test_constant_column_flagged(self):
-        ds = make([1, 2, 3], [1, 1, 0], [[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-        assert validate(ds).constant_columns == [1]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError, match="time"):
@@ -58,6 +51,12 @@ class TestValidate:
     def test_too_small(self):
         with pytest.raises(ValidationError, match="at least 2"):
             make([1], [1], [[0.1]])
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_column_out_of_range(self, j):
+        ds = make([1, 2], [1, 1], [[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValidationError, match=f"^covariate index {j} out of range \\[1, 2\\]$"):
+            ds.column(j)
 
     @pytest.mark.parametrize("time, covariates, names, message", [
         ([1, 2], [0.1, 0.2], None, "covariates must be a 2-d array (n rows, p columns)"),
@@ -92,7 +91,7 @@ class TestRiskSets:
         for _ in range(20):
             ds = random_dataset(rng, n=int(rng.integers(5, 30)), p=2, censor_upper=2.0)
             # duplicate some times to exercise ties
-            assert build_risk_sets(ds).event_counts.sum() == validate(ds).events
+            assert build_risk_sets(ds).event_counts.sum() == validate(ds)
 
     def test_risk_sets_nested(self, rng):
         ds = random_dataset(rng, 25, 1, censor_upper=1.5)
@@ -102,7 +101,8 @@ class TestRiskSets:
 
     def test_ties_sort_events_first(self):
         ds = make([2, 2, 3], [0, 1, 1], [[0.0]] * 3)
-        assert list(ds.sorted_index[:2]) == [1, 0]
+        # cox holds the rows in descending time: at t=2 the censoring (row 0) comes before the event
+        assert list(cox._SortedView(ds).order) == [2, 0, 1]
 
 
 class TestStandardize:
@@ -241,7 +241,7 @@ class TestCSV:
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("followup,dead,a,b\n1.0,1,0.5,1.0\n2.0,0,0.1,2.0\n")
-        ds = read_csv(path, ColumnSchema("followup", "dead"))
+        ds = read_csv(path, time_col="followup", status_col="dead")
         assert ds.p == 2 and ds.covariate_names == ["a", "b"]
         assert list(ds.time) == [1.0, 2.0] and list(ds.status) == [1, 0]
 
@@ -259,7 +259,7 @@ class TestCSV:
         path = tmp_path / "d.csv"
         path.write_text("t,a\n1.0,0.5\n2.0,0.1\n")
         with pytest.raises(CSVParseError, match="column 't' is both time and status"):
-            read_csv(path, ColumnSchema("t", "t"))
+            read_csv(path, time_col="t", status_col="t")
 
     def test_written_file_is_read_in_bulk(self, tmp_path, rng, monkeypatch):
         ds = random_dataset(rng, 30, 5, censor_upper=2.0)
@@ -535,6 +535,17 @@ class TestConditioningSet:
         ds = make([1, 2], [1, 1], [[0.1], [0.2]])
         with pytest.raises(ValidationError, match="exceeds"):
             ConditioningSet((3,)).check_against(ds)
+
+    @pytest.mark.parametrize("indices", [(0,), (2, -1)])
+    def test_index_below_one_rejected(self, indices):
+        with pytest.raises(ValidationError, match="^conditioning indices are 1-based and must be >= 1$"):
+            ConditioningSet(indices)
+
+    @pytest.mark.parametrize("indices", [(1, 2), (3, 1, 2)])
+    def test_set_not_smaller_than_n_rejected(self, indices):
+        ds = make([1, 2], [1, 1], [[0.1, 0.5, 0.9], [0.2, 0.7, 0.3]])
+        with pytest.raises(ValidationError, match=f"^conditioning set size {len(indices)} must be < n=2$"):
+            ConditioningSet(indices).check_against(ds)
 
     def test_complement(self):
         assert ConditioningSet((2,)).complement(4) == [1, 3, 4]

@@ -68,6 +68,12 @@ class TestFitCLE:
         with pytest.raises(ValidationError, match="more samples"):
             fit_cle(rng.normal(size=(3, 1)), rng.normal(size=(3, 4)))
 
+    @pytest.mark.parametrize("shape, got", [((5, 3), 3), ((3,), 1)], ids=["stack", "vector"])
+    def test_predict_dimension_mismatch(self, rng, shape, got):
+        model = fit_cle(rng.normal(size=(40, 1)), rng.normal(size=(40, 2)))
+        with pytest.raises(ValidationError, match=f"^xi has dimension {got}, model expects 2$"):
+            cle_predict(model, rng.normal(size=shape))
+
     def test_predict_single_vector(self, rng):
         xi = rng.normal(size=(40, 2))
         zeta = rng.normal(size=(40, 1))

@@ -157,6 +157,14 @@ class TestScreen:
         assert scaled.rankings["plik"] == base.rankings["plik"]
         assert scaled.beta_hat[1] == pytest.approx(base.beta_hat[1] / 7.0, rel=1e-6)  # covariate 3
 
+    @pytest.mark.parametrize("call", [
+        lambda ds: screen(ds, ConditioningSet((1,)), statistics=("wald", "score")),
+        lambda ds: screen(ds, ConditioningSet((1,))).statistic("score"),
+    ], ids=["screen", "statistic"])
+    def test_unknown_statistic_rejected(self, dataset, call):
+        with pytest.raises(ValidationError, match="^unknown statistic 'score'$"):
+            call(dataset)
+
     def test_conditioning_too_large_for_events(self, rng):
         ds = random_dataset(rng, 10, 5, censor_upper=0.05)  # few events
         events = int(ds.status.sum())

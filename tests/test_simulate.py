@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -179,6 +180,13 @@ class TestCalibration:
         config = example_config(1, n=50, p=10, seed=1)
         with pytest.raises(ValidationError):
             calibrate_censoring(config, 1.5)
+
+    @pytest.mark.parametrize("intercept", [40.0, -40.0], ids=["all-events", "all-censored"])
+    def test_unreachable_target(self, intercept):
+        # every time is far below c = 1e-6 of the search, or far above c = 1e6
+        config = replace(example_config(1, n=20, p=10, seed=2), intercept=intercept)
+        with pytest.raises(CalibrationError, match=r"^target 0.2 unreachable within \[1e-06, 1000000.0\]$"):
+            calibrate_censoring(config, 0.2)
 
     def test_closest_rate_after_bisection(self, monkeypatch):
         # 5 replicates of n=2 give 10 subjects, so every rate is a multiple of 0.1
@@ -394,6 +402,16 @@ class TestConfigSerialization:
         config_to_kv(config, path)
         assert config_from_kv(path) == config
 
+    def test_roundtrip_with_censor_upper(self, tmp_path):
+        config = replace(example_config(2, n=5, p=3, censor_target=0.25, seed=4), censor_upper=1.5)
+        path = tmp_path / "sim.cfg"
+        config_to_kv(config, path)
+        assert path.read_text(encoding="utf-8") == (
+            "n=5\np=3\nbeta.1=10.0\nbeta.3=1.0\nintercept=-1.0\ncorrelation=independent\n"
+            "rho=0.0\ncensor_target=0.25\ncensor_upper=1.5\nseed=4\n"
+        )
+        assert config_from_kv(path) == config
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("n=10\np=2\nnot a kv line\n")
@@ -436,3 +454,19 @@ class TestConfigSerialization:
             assert config.censor_target == 0.2
         with pytest.raises(ValidationError):
             example_config(4)
+
+    @pytest.mark.parametrize("example", [2, 3])
+    def test_example_needs_two_columns(self, example):
+        with pytest.raises(ValidationError, match="^examples 2 and 3 need p >= 2$"):
+            example_config(example, p=1)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 1}, "need n >= 2 and p >= 1"),
+        ({"correlation": "ar1"}, "unknown correlation kind 'ar1'"),
+        ({"rho": 1.0}, "rho must be in [0, 1)"),
+        ({"censor_target": -0.1}, "censor_target must be in [0, 1)"),
+        ({"beta": {0: 1.0}}, "beta indices must lie in [1, p]"),
+    ], ids=["n", "correlation", "rho", "censor_target", "beta"])
+    def test_invalid_config_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SimConfig(**{"n": 10, "p": 3, "beta": {1: 1.0}, **fields})

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from coxscreen.cli import main
-from coxscreen.data import SurvivalDataset, write_csv
+from coxscreen.data import SurvivalDataset, write_csv, write_rows
 from coxscreen.simulate import config_to_kv, example_config
 
 SEED = "7"
@@ -77,6 +77,26 @@ def shifted_dataset():
     status[int(np.argmin(t))] = 1
     z[:, 2:] += 1e7
     return SurvivalDataset(np.minimum(t, c), status, z)
+
+
+def renamed_rows():
+    """The rows of a CSV whose time and status columns are named followup and dead.
+
+    Times lie on a grid of halves, so some tie, and follow-up shortens as the first covariate grows.
+    """
+    rng = np.random.default_rng(20261020)
+    n = 40
+    z = rng.uniform(-1.0, 1.0, size=(n, 4))
+    followup = np.round(4.0 * rng.uniform(size=n) * (1.5 - z[:, 0])) / 2 + 0.5
+    dead = (rng.uniform(size=n) < 0.7).astype(int)
+    dead[0] = 1
+    return [[t, d, *row] for t, d, row in zip(followup.tolist(), dead.tolist(), z.tolist())]
+
+
+def overflow_rows():
+    """30 rows of integers; the third covariate, ((i mod 7) - 3) * 1e160, overflows when squared."""
+    return [[i + 1, int(i % 4 != 0), (7 * i) % 11 - 5, (5 * i) % 13 - 6, (i % 7 - 3) * 1e160]
+            for i in range(30)]
 
 
 def calls():
@@ -153,6 +173,11 @@ def calls():
                                      "--out", "benchmark-empty-methods.csv"]),
         ("calibrate-wide", ["calibrate", "--example", "1", "--n", "20", "--p", "100000",
                             "--target", "0.2"]),
+        ("screen-renamed", ["screen", "--input", "renamed.csv", "--time-col", "followup",
+                            "--status-col", "dead", "--conditioning", "1", "--stats", "mple,wald,plik",
+                            "--out", "screen-renamed.csv"]),
+        ("screen-overflow", ["screen", "--input", "overflow.csv", "--conditioning", "1",
+                             "--out", "screen-overflow.csv"]),
     ]
     for cond in ("1", "auto", "none"):
         name = f"benchmark-c{cond}"
@@ -171,6 +196,8 @@ def run_matrix(outdir):
         write_csv(small_dataset(), "small.csv")
         write_csv(quoted_dataset(), "quoted.csv")
         write_csv(shifted_dataset(), "shifted.csv")
+        write_rows("renamed.csv", ["followup", "dead", "a", "b", "c", "d"], renamed_rows())
+        write_rows("overflow.csv", ["time", "status", "z1", "z2", "z3"], overflow_rows())
         with open("tied.csv", "rb") as fh, open("bom.csv", "wb") as out:  # as Excel's "CSV UTF-8" writes it
             out.write(b"\xef\xbb\xbf" + fh.read())
         config_to_kv(example_config(2, n=60, p=12, censor_target=0.2, seed=int(SEED)), "ex2.kv")
