@@ -3,6 +3,10 @@
 Outputs are plain CSV/JSON files with no timestamps, so reruns with identical
 flags and seed are byte-identical. Nonzero exits print a single diagnostic
 line ``error category=<io|validation|fit|config>: <message>`` on stderr.
+
+screen and diagnose write a ``.coxscreen-cache/`` directory beside their
+--input, holding the parsed input (see ``data.read_csv_cached``); a later run
+on the same bytes loads it instead of parsing, with the same outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import benchmark, diagnostics, metrics, screening, simulate
-from .data import read_csv, write_csv, write_rows
+from .data import read_csv, read_csv_cached, write_csv, write_rows
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -49,8 +53,11 @@ def _sim_config(args):
 
 
 def _dataset_and_conditioning(args):
-    """The --input dataset and the C that --conditioning names on it; an auto C is reported."""
-    dataset = read_csv(args.input, args.time_col, args.status_col)
+    """The --input dataset, through the parse cache, and the C that --conditioning names on it.
+
+    An auto C is reported on stderr.
+    """
+    dataset = read_csv_cached(args.input, args.time_col, args.status_col, read_csv)
     cond = screening.resolve_conditioning(args.conditioning, dataset)
     if args.conditioning == screening.AUTO:
         print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)

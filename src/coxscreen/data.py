@@ -9,7 +9,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 import math
 import numbers
 import os
@@ -249,9 +251,10 @@ def _read_blocks(path, time_col, status_col):
         if len(pos) < len(header):
             duplicate = next(name for k, name in enumerate(header) if pos[name] != k)
             raise CSVParseError(f"{path}: duplicate column '{duplicate}'")
+        time_k, status_k = pos[time_col], pos[status_col]
+        del pos  # only the header checks need the map; the parse needs the column numbers
+        cov_columns = np.array([k for k in range(len(header)) if k not in (time_k, status_k)])
 
-        columns = [pos[time_col], pos[status_col], *(pos[name] for name in cov_names)]
-        cov_columns = np.array(columns[2:])
         arrays = time, status, covariates = np.empty(0), np.empty(0), np.empty((0, len(cov_names)))
         left = os.fstat(fh.fileno()).st_size  # bytes, at least the characters not yet read
         rows = 0
@@ -263,6 +266,7 @@ def _read_blocks(path, time_col, status_col):
                 lines += fh.readlines()
                 if rows + len(lines) > time.shape[0]:
                     _resize(arrays, rows + len(lines))  # a row takes at least one line
+                columns = [time_k, status_k, *cov_columns.tolist()]
                 for values in _per_cell_rows(lines, header, columns, path, row):
                     time[rows], status[rows], covariates[rows] = values[0], values[1], values[2:]
                     rows += 1
@@ -272,8 +276,8 @@ def _read_blocks(path, time_col, status_col):
             end = rows + table.shape[0]
             if end > time.shape[0]:
                 _resize(arrays, end + math.ceil(max(left, 0) * table.shape[0] / chars))
-            time[rows:end] = table[:, columns[0]]
-            status[rows:end] = table[:, columns[1]]
+            time[rows:end] = table[:, time_k]
+            status[rows:end] = table[:, status_k]
             # mode="clip" writes straight into out; every index is in range
             np.take(table, cov_columns, axis=1, out=covariates[rows:end], mode="clip")
             rows = end
@@ -284,6 +288,105 @@ def _read_blocks(path, time_col, status_col):
         if time.shape[0] - rows > rows // 16:
             _resize(arrays, rows)
     return cov_names, time[:rows], status[:rows], covariates[:rows]
+
+
+_CACHE_DIR = ".coxscreen-cache"
+_CACHE_MAGIC = b"coxscreen parsed csv\n"
+_HASH_CHUNK = 1 << 16
+
+
+def read_csv_cached(path, time_col="time", status_col="status", parse=read_csv) -> SurvivalDataset:
+    """The dataset parse(path, time_col, status_col) gives, through a cache of parsed inputs.
+
+    The cache is a .coxscreen-cache directory beside the file, with one entry
+    per file name. An entry is keyed by the SHA-256 of this module's source,
+    the two column names and the file's bytes, so changed bytes, other names
+    or changed parsing rules never load a dataset parsed before. A hit loads
+    the stored arrays and builds the dataset through its usual checks. A miss
+    parses and stores the dataset only if the file hashes the same after the
+    parse; the entry is written to a temporary file and renamed over the
+    file name's previous entry. A file that is not regular, such as a pipe,
+    is parsed once and never cached, and any failure of the cache falls back
+    to the parse, so the dataset and any error are the parse's.
+
+    parse is read_csv or a wrapper of it. The CLI passes the name it
+    imported, so that a wrapper installed there (perfbench's tracer) sees
+    each parse.
+    """
+    try:
+        key = _input_key(path, time_col, status_col) if os.path.isfile(path) else None
+    except OSError:
+        key = None
+    if key is None:  # outside the try, so an error of the parse is never followed by a second read
+        return parse(path, time_col, status_col)
+    directory, name = os.path.split(path)
+    entry = os.path.join(directory, _CACHE_DIR, name + ".parsed")
+    dataset = _load_entry(entry, key)
+    if dataset is None:
+        dataset = parse(path, time_col, status_col)
+        with contextlib.suppress(OSError):
+            if _input_key(path, time_col, status_col) == key:
+                _store_entry(entry, key, dataset)
+    return dataset
+
+
+def _input_key(path, time_col, status_col):
+    """SHA-256 of this module's source, the column names and the file's bytes, read a chunk at a time."""
+    import hashlib  # only the cached read needs it, so importing coxscreen does not load it
+
+    digest = hashlib.sha256()
+    with open(__file__, "rb") as fh:
+        source = fh.read()
+    for part in (source, *(name.encode("utf-8", "surrogatepass") for name in (time_col, status_col))):
+        digest.update(len(part).to_bytes(8, "little") + part)  # the length keeps the parts apart
+    chunk = memoryview(bytearray(_HASH_CHUNK))
+    with open(path, "rb") as fh:
+        while size := fh.readinto(chunk):
+            digest.update(chunk[:size])
+    return digest.digest()
+
+
+def _load_entry(entry, key):
+    """The dataset stored in entry under key; None if there is none, it has another key or it is damaged."""
+    try:
+        with open(entry, "rb") as fh:
+            if fh.read(len(_CACHE_MAGIC) + len(key)) != _CACHE_MAGIC + key:
+                return None
+            header = json.loads(fh.readline())
+            n, names = header["n"], header["names"]
+            if os.fstat(fh.fileno()).st_size != fh.tell() + n * (8 + 1 + 8 * len(names)):
+                return None  # truncated: a row is its time, status and covariates
+            arrays = np.empty(n, "<f8"), np.empty(n, np.int8), np.empty((n, len(names)), "<f8")
+            for a in arrays:
+                if fh.readinto(a) != a.nbytes:
+                    return None
+        return SurvivalDataset(*arrays, names)
+    except (OSError, ValueError, KeyError, TypeError, ValidationError):  # unreadable or damaged
+        return None
+
+
+def _store_entry(entry, key, dataset):
+    """Write dataset to entry under key: its arrays, little-endian, straight from their buffers."""
+    directory = os.path.dirname(entry)
+    try:
+        os.mkdir(directory)
+    except FileExistsError:
+        pass
+    else:
+        with open(os.path.join(directory, ".gitignore"), "w", encoding="utf-8") as fh:
+            fh.write("# Created by coxscreen automatically.\n*\n")
+    temporary = f"{entry}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(_CACHE_MAGIC + key)
+            fh.write(json.dumps({"n": dataset.n, "names": dataset.covariate_names}).encode() + b"\n")
+            for a, dtype in ((dataset.time, "<f8"), (dataset.status, np.int8), (dataset.covariates, "<f8")):
+                fh.write(np.ascontiguousarray(a, dtype))
+        os.replace(temporary, entry)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def write_rows(path, header, rows):

@@ -60,6 +60,7 @@ def fit_cle(zeta, xi) -> CLEModel:
         raise ValidationError("need more samples than predictor dimensions")
     zc = zeta - zeta.mean(axis=0)
     xc = xi - xi.mean(axis=0)
+    xc -= xc.mean(axis=0)  # the rounding left by the first mean, which grows with a shift
     var_xi = xc.T @ xc / n
     cross = zc.T @ xc / n  # Cov(zeta, xi)
     if xi.shape[1] == 0:
@@ -100,8 +101,11 @@ def _partial_covariances(source, columns, target, xi) -> np.ndarray:
     The target t is residualised on xi once; each column then costs one inner
     product with that residual. The columns are gathered and centred a chunk
     of about _CHUNK_ELEMENTS // n at a time, so besides the result the pass
-    holds one chunk. An empty xi (n rows, 0 columns) gives the plain
-    covariances.
+    holds one chunk. Each chunk, like xi in fit_cle, is centred twice: the
+    second pass removes the part of the mean that the first left in
+    rounding, which grows with a column's distance from zero, so shifting
+    the columns moves the result by no more than rounding. An empty xi (n
+    rows, 0 columns) gives the plain covariances.
     """
     n = target.shape[0]
     resid = target - cle_predict(fit_cle(target, xi), xi)[:, 0]
@@ -110,6 +114,7 @@ def _partial_covariances(source, columns, target, xi) -> np.ndarray:
     size = max(1, _CHUNK_ELEMENTS // n // _CHUNK_ALIGN) * _CHUNK_ALIGN
     for first in range(0, columns.shape[0], size):
         chunk = source[:, columns[first : first + size]]
+        chunk -= chunk.mean(axis=0)
         chunk -= chunk.mean(axis=0)
         out[first : first + size] = resid @ chunk / n
         del chunk  # before the next chunk is gathered

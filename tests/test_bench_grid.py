@@ -21,7 +21,9 @@ LAYERS = {
 LAYER_KEYS = {"params", "unit", "units_per_call", "calls_per_repeat", "repeats", "median_s", "iqr_s",
               "s_per_unit", "minor_faults_per_call"}
 MEMORY_KEYS = {"params", "array", "array_bytes", "traced_peak_bytes", "arrays"}
-CLI = {"simulate", "calibrate", "screen", "diagnose", "benchmark"}
+CLI = {"simulate", "calibrate", "benchmark"} | {
+    f"{command}{shape}{cache}" for command in ("screen", "diagnose") for shape in ("", "-dlbcl")
+    for cache in ("", "-warm")}
 CLI_KEYS = {"params", "argv", "repeats", "median_s", "iqr_s", "peak_rss_mb", "minor_faults"}
 
 
@@ -63,7 +65,11 @@ def test_tiny_grid_schema(tmp_path, capsys):
     assert set(report["cli"]) == CLI
     for name, run in report["cli"].items():
         assert set(run) == CLI_KEYS, name
-        assert run["argv"][0] == name and run["repeats"] == grid.SIZES["tiny"]["repeats"]
+        assert name.startswith(run["argv"][0]) and run["repeats"] == grid.SIZES["tiny"]["repeats"]
+        if run["argv"][0] in ("screen", "diagnose"):
+            shape = grid.SIZES["tiny"]["dlbcl" if "-dlbcl" in name else "replicate"]
+            assert (run["params"]["n"], run["params"]["p"]) == shape, name
+            assert run["params"]["cache"] == ("warm" if name.endswith("-warm") else "cold"), name
         assert run["median_s"] > 0 and run["iqr_s"] >= 0 and run["peak_rss_mb"] > 0
         assert run["minor_faults"] > 0
     printed = len(expected) + len(report["memory"]) + len(report["cli"])

@@ -1,16 +1,19 @@
 import csv
+import errno
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coxscreen
+from coxscreen import cli, data
 from coxscreen.benchmark import ALL_METHODS
 from coxscreen.cli import main
-from coxscreen.data import write_csv, write_rows
+from coxscreen.data import read_csv, write_csv, write_rows
 from coxscreen.screening import STATISTICS
 
 from conftest import random_dataset
@@ -269,6 +272,183 @@ class TestScreenCommand:
             assert main(["screen", "--input", toy_csv, "--conditioning", "1",
                          "--stats", "mple,wald,plik", "--out", out]) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+
+CACHE = ".coxscreen-cache"
+CACHED_CALLS = {
+    "screen-csv": ["screen", "--conditioning", "1", "--stats", "mple,wald,plik"],
+    "screen-json": ["screen", "--conditioning", "1", "--stats", "mple,wald,plik", "--format", "json"],
+    "diagnose": ["diagnose", "--conditioning", "1"],
+}
+
+
+def _cached_call(name, path):
+    command, *flags = CACHED_CALLS[name]
+    return [command, "--input", str(path), *flags]
+
+
+def _run_into(capsys, outdir, argv):
+    """Exit code, stderr and {name: bytes} of the files main(argv) writes into the new directory outdir."""
+    outdir.mkdir()
+    out = outdir / ("res.json" if "json" in argv else "res.csv")
+    code = main([*argv, "--out", str(out)])
+    return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def _parse_only(path, time_col, status_col, parse):
+    return parse(path, time_col, status_col)
+
+
+def _run_uncached(monkeypatch, capsys, outdir, argv):
+    """_run_into with the CLI parsing its input, as it did before the cache."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "read_csv_cached", _parse_only)
+        return _run_into(capsys, outdir, argv)
+
+
+def _count_parses(monkeypatch):
+    """The list of paths the CLI parses from now on."""
+    parsed = []
+
+    def counting(path, *args):
+        parsed.append(path)
+        return read_csv(path, *args)
+
+    monkeypatch.setattr(cli, "read_csv", counting)
+    return parsed
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("call", CACHED_CALLS)
+    def test_warm_run_loads_what_the_cold_run_parsed(self, toy_csv, tmp_path, monkeypatch, capsys, call):
+        argv = _cached_call(call, toy_csv)
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        assert expected[0] == 0 and not (tmp_path / CACHE).exists()
+        parsed = _count_parses(monkeypatch)
+        assert _run_into(capsys, tmp_path / "cold", argv) == expected
+        assert parsed == [toy_csv]
+        assert sorted(os.listdir(tmp_path / CACHE)) == [".gitignore", "toy.csv.parsed"]
+        assert (tmp_path / CACHE / ".gitignore").read_text().endswith("\n*\n")
+        assert _run_into(capsys, tmp_path / "warm", argv) == expected
+        assert parsed == [toy_csv]
+
+    def test_library_read_writes_nothing(self, toy_csv, tmp_path):
+        read_csv(toy_csv)
+        assert os.listdir(tmp_path) == ["toy.csv"]
+
+    @pytest.mark.parametrize("call", CACHED_CALLS)
+    def test_one_changed_cell_is_parsed_again(self, toy_csv, tmp_path, monkeypatch, capsys, call):
+        argv = _cached_call(call, toy_csv)
+        before = _run_into(capsys, tmp_path / "before", argv)
+        content = Path(toy_csv).read_bytes()
+        header, first, rest = content.split(b"\r\n", 2)
+        cells = first.split(b",")
+        cells[2] = cells[2][:-1] + (b"1" if cells[2][-1:] != b"1" else b"2")  # the last digit of z1
+        stat = os.stat(toy_csv)
+        Path(toy_csv).write_bytes(b"\r\n".join([header, b",".join(cells), rest]))
+        os.utime(toy_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(toy_csv).st_size == stat.st_size
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        assert expected[2] != before[2]
+        assert _run_into(capsys, tmp_path / "after", argv) == expected
+
+    @pytest.mark.parametrize("flags", [["--time-col", "followup"], ["--status-col", "dead"],
+                                       ["--time-col", "followup", "--status-col", "dead"]],
+                             ids=["time", "status", "both"])
+    def test_other_column_names_are_parsed_again(self, rng, tmp_path, monkeypatch, capsys, flags):
+        ds = random_dataset(rng, 50, 3, censor_upper=3.0)
+        followup = rng.exponential(size=50)
+        dead = (rng.uniform(size=50) < 0.6).astype(int)
+        columns = zip(ds.time.tolist(), ds.status.tolist(), followup.tolist(), dead.tolist())
+        path = tmp_path / "two.csv"
+        write_rows(path, ["time", "status", "followup", "dead", "z1", "z2", "z3"],
+                   ([*cells, *z] for cells, z in zip(columns, ds.covariates.tolist())))
+        argv = _cached_call("screen-json", path)
+        default = _run_into(capsys, tmp_path / "default", argv)
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", [*argv, *flags])
+        assert default[0] == expected[0] == 0 and default[2] != expected[2]
+        parsed = _count_parses(monkeypatch)
+        assert _run_into(capsys, tmp_path / "renamed", [*argv, *flags]) == expected
+        assert parsed == [str(path)]
+
+    @pytest.mark.parametrize("damage", ["truncated-arrays", "truncated-header", "garbage"])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, toy_csv, tmp_path, monkeypatch, capsys,
+                                                         damage):
+        argv = _cached_call("screen-csv", toy_csv)
+        expected = _run_into(capsys, tmp_path / "cold", argv)
+        entry = tmp_path / CACHE / "toy.csv.parsed"
+        stored = entry.read_bytes()
+        entry.write_bytes({"truncated-arrays": stored[:-8], "truncated-header": stored[:60],
+                           "garbage": bytes(range(256)) * (len(stored) // 256)}[damage])
+        parsed = _count_parses(monkeypatch)
+        assert _run_into(capsys, tmp_path / "damaged", argv) == expected
+        assert parsed == [toy_csv]
+        assert entry.read_bytes() == stored
+
+    def test_read_only_directory_gets_nothing_written(self, toy_csv, tmp_path, monkeypatch, capsys):
+        folder = tmp_path / "read-only"
+        folder.mkdir()
+        path = folder / "toy.csv"
+        os.replace(toy_csv, path)
+        argv = _cached_call("screen-csv", path)
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        real_mkdir = os.mkdir
+
+        def refused(target, *args, **kwargs):
+            # root ignores the mode bits, so the refusal a read-only directory gives is made here too
+            if Path(target).parent == folder:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(target))
+            return real_mkdir(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", refused)
+        folder.chmod(0o555)
+        try:
+            assert _run_into(capsys, tmp_path / "cold", argv) == expected
+            assert _run_into(capsys, tmp_path / "again", argv) == expected
+        finally:
+            folder.chmod(0o755)
+        assert os.listdir(folder) == ["toy.csv"]
+
+    def test_pipe_is_read_once_and_not_cached(self, toy_csv, tmp_path, monkeypatch, capsys):
+        argv = _cached_call("screen-csv", toy_csv)
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        opened = []
+
+        def open_once(file, *args, **kwargs):
+            if str(file) == str(fifo):
+                if opened:
+                    raise AssertionError("the pipe was opened twice")  # a second open would wait forever
+                opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", open_once, raising=False)
+        content = Path(toy_csv).read_bytes()
+        writer = threading.Thread(target=lambda: fifo.write_bytes(content), daemon=True)
+        writer.start()
+        assert _run_into(capsys, tmp_path / "piped", _cached_call("screen-csv", fifo)) == expected
+        writer.join(timeout=10)
+        assert not writer.is_alive() and opened == [str(fifo)]
+        assert not (tmp_path / CACHE).exists()
+
+    def test_missing_input_is_tried_once(self, tmp_path, monkeypatch, capsys):
+        argv = _cached_call("screen-csv", tmp_path / "absent.csv")
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        parsed = _count_parses(monkeypatch)
+        assert _run_into(capsys, tmp_path / "cached", argv) == expected
+        assert expected[0] == 1 and expected[1].startswith("error category=io:")
+        assert parsed == [str(tmp_path / "absent.csv")]
+        assert not (tmp_path / CACHE).exists()
+
+    def test_malformed_csv_writes_no_entry(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,status,z1\n1.0,1,2.0\nabc,1,1.0\n")
+        argv = _cached_call("screen-csv", bad)
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        assert expected[:2] == (1, f"error category=io: row 3, column 'time': cannot parse 'abc'\n")
+        assert _run_into(capsys, tmp_path / "cached", argv) == expected
+        assert not (tmp_path / CACHE).exists()
 
 
 class TestSimulateCommand:

@@ -37,6 +37,13 @@ def test_matrix_exit_codes_and_outputs(tmp_path):
             assert (tmp_path / f"{name}_selected.csv").exists()
     # the tied input with a byte-order mark in front screens as the tied input does
     assert (tmp_path / "screen-bom.csv").read_bytes() == (tmp_path / "screen-tied-c1-csv.csv").read_bytes()
+    # a warm repeat loads the parse that the first call on tied.csv stored, and writes the same files
+    assert (tmp_path / ".coxscreen-cache" / "tied.csv.parsed").exists()
+    for cold, suffixes in (("screen-tied-cnone-csv", (".csv", "_selected.csv", ".log")),
+                           ("diagnose-tied", (".csv", ".log"))):
+        for suffix in suffixes:
+            warm = (tmp_path / f"{cold}-warm{suffix}").read_bytes()
+            assert warm == (tmp_path / f"{cold}{suffix}").read_bytes(), cold + suffix
     # an overflowing candidate leaves the one diagnostic line on stderr, with no numpy warnings before it
     err = (tmp_path / "screen-overflow.log").read_text().split("--- stderr\n")[1]
     assert err == "error category=validation: non-finite score/information contribution at event time 2.0\n"

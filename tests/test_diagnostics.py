@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,18 @@ class TestSignalStrength:
             assert int(index) == j
             assert float(value) == pytest.approx(expected, abs=1e-13)
             assert float(value) == pytest.approx(signal_strength(ds, conditioning, j), abs=1e-15)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e7, 1e10])
+    @pytest.mark.parametrize("cond", [(), (1,), (1, 2, 3)])
+    def test_csv_unchanged_by_a_shift(self, rng, tmp_path, cond, shift):
+        # covariates on a grid of 2^-10, so adding the shift is exact and only the pass's rounding can differ
+        ds = random_dataset(rng, 200, 30, beta=0.5 * rng.normal(size=30), censor_upper=2.0)
+        z = np.round(ds.covariates * 1024) / 1024
+        conditioning = ConditioningSet(cond)
+        values = []
+        for offset in (0.0, shift):
+            path = tmp_path / f"sig{offset}.csv"
+            signal_strengths_to_csv(SurvivalDataset(ds.time, ds.status, z + offset), conditioning, path)
+            with open(path, newline="") as fh:
+                values.append([float(row["signal_strength"]) for row in csv.DictReader(fh)])
+        np.testing.assert_allclose(values[1], values[0], rtol=1e-12, atol=0)

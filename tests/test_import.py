@@ -36,6 +36,12 @@ def test_import_does_not_load_a_process_pool(module):
     assert _loaded_after(f"import {module}", prefixes) == "[]"
 
 
+@pytest.mark.parametrize("module", ["coxscreen", "coxscreen.cli"])
+def test_import_does_not_load_hashlib(module):
+    # only a read through the CLI's parse cache hashes, and it imports hashlib then
+    assert _loaded_after(f"import {module}", ("hashlib",)) == "[]"
+
+
 def test_simulation_does_not_load_scipy():
     code = (
         "from coxscreen import simulate\n"

@@ -4,13 +4,14 @@ numpy reports its array buffers to tracemalloc, so a peak counts every array
 a call holds at once.
 """
 
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from coxscreen import cox
-from coxscreen.data import ConditioningSet, read_csv, write_csv
+from coxscreen.data import ConditioningSet, read_csv, read_csv_cached, write_csv
 from coxscreen.diagnostics import signal_strengths_to_csv
 from coxscreen.screening import result_to_json, screen
 
@@ -48,6 +49,20 @@ def test_read_csv_parses_into_the_datasets_own_arrays(dataset, tmp_path):
     path = tmp_path / "d.csv"
     write_csv(dataset, path)
     assert traced_peak(lambda: read_csv(path)) <= 1.7 * dataset.covariates.nbytes
+
+
+@pytest.mark.parametrize("state", ["miss", "hit"])
+def test_cached_read_holds_no_more_than_a_parse(dataset, tmp_path, state):
+    # a hit reads the stored arrays into the dataset's own; a miss writes them from their own buffers
+    path = tmp_path / "d.csv"
+    write_csv(dataset, path)
+
+    def call():
+        if state == "miss":
+            shutil.rmtree(tmp_path / ".coxscreen-cache", ignore_errors=True)
+        return read_csv_cached(path)
+
+    assert traced_peak(call) <= 1.54 * dataset.covariates.nbytes
 
 
 def test_signal_strengths_to_csv_holds_one_chunk_of_the_covariates(dataset, tmp_path):

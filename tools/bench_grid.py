@@ -26,6 +26,10 @@ subcommand (``simulate``, ``calibrate``, ``screen``, ``diagnose`` and
 ``python -m coxscreen.cli`` process on the replicate size, with the median
 and interquartile range of its wall seconds and the medians of its peak
 resident memory and of its minor page faults, which ``os.wait4`` reports.
+``screen`` and ``diagnose`` also run on a 240 x 7399 CSV, the shape of the
+paper's DLBCL data (``-dlbcl``), and each of their entries is timed twice:
+cold, with the input's ``.coxscreen-cache`` removed before every repeat so
+that the call parses the CSV, and warm (``-warm``), loading the parse.
 Page faults show where the allocator maps fresh memory, which can move a
 timing as much as the arithmetic does. Absolute times move with the
 host's load, so compare two checkouts by running the script against each
@@ -40,6 +44,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,7 @@ SIZES = {
         "baselines": (400, 1000),
         "calibrate": 2000,
         "replicate": (100, 1000),
+        "dlbcl": (240, 7399),
     },
     "tiny": {
         "repeats": 3,
@@ -80,6 +86,7 @@ SIZES = {
         "baselines": (40, 10),
         "calibrate": 20,
         "replicate": (20, 10),
+        "dlbcl": (24, 40),
     },
 }
 
@@ -225,21 +232,33 @@ def memory(size, workdir):
 
 
 def cli_calls(size, workdir):
-    """(name, parameters, argv) of one call of each CLI subcommand, run in workdir on the replicate size."""
-    n, p = SIZES[size]["replicate"]
-    data.write_csv(_dataset(n, p), Path(workdir) / "cli.csv")
+    """(name, parameters, argv) of each CLI call timed, run in workdir.
+
+    simulate, calibrate and benchmark run on the replicate size. screen and
+    diagnose run on a CSV of the replicate size and on one of the "dlbcl"
+    shape (NAME-dlbcl), each cold, with no cached parse of the input, and
+    warm (NAME-warm), loading it; their parameters say which.
+    """
+    spec = SIZES[size]
+    n, p = spec["replicate"]
     design = ["--example", "1", "--n", str(n), "--p", str(p), "--seed", str(SEED)]
-    inputs = ["--input", "cli.csv", "--conditioning", "1"]
-    params = {"n": n, "p": p}
-    return [
-        ("simulate", params, ["simulate", *design, "--out", "cli-simulate.csv"]),
-        ("calibrate", params, ["calibrate", *design, "--target", "0.2"]),
-        ("screen", {**params, "q": 1}, ["screen", *inputs, "--stats", "mple,wald,plik", "--format", "json",
-                                        "--out", "cli-screen.json"]),
-        ("diagnose", {**params, "q": 1}, ["diagnose", *inputs, "--out", "cli-diagnose.csv"]),
-        ("benchmark", {**params, "replicates": 1, "methods": len(benchmark.ALL_METHODS)},
-         ["benchmark", *design, "--replicates", "1", "--out", "cli-benchmark.csv"]),
+    calls = [
+        ("simulate", {"n": n, "p": p}, ["simulate", *design, "--out", "cli-simulate.csv"]),
+        ("calibrate", {"n": n, "p": p}, ["calibrate", *design, "--target", "0.2"]),
     ]
+    for shape, (rows, cols) in (("", (n, p)), ("-dlbcl", spec["dlbcl"])):
+        data.write_csv(_dataset(rows, cols), Path(workdir) / f"cli{shape}.csv")
+        inputs = ["--input", f"cli{shape}.csv", "--conditioning", "1"]
+        for cache, suffix in (("cold", ""), ("warm", "-warm")):
+            name, params = shape + suffix, {"n": rows, "p": cols, "q": 1, "cache": cache}
+            calls += [
+                (f"screen{name}", params, ["screen", *inputs, "--stats", "mple,wald,plik", "--format", "json",
+                                            "--out", f"cli-screen{name}.json"]),
+                (f"diagnose{name}", params, ["diagnose", *inputs, "--out", f"cli-diagnose{name}.csv"]),
+            ]
+    calls.append(("benchmark", {"n": n, "p": p, "replicates": 1, "methods": len(benchmark.ALL_METHODS)},
+                  ["benchmark", *design, "--replicates", "1", "--out", "cli-benchmark.csv"]))
+    return calls
 
 
 # A fresh interpreter spawns the CLI and prints its wall seconds, exit code, peak RSS (Linux:
@@ -272,9 +291,16 @@ def time_cli(size, workdir):
     src = str(Path(coxscreen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.update({var: "1" for var in THREAD_VARS})
+    cache = Path(workdir) / ".coxscreen-cache"
     report = {}
     for name, params, argv in cli_calls(size, workdir):
-        runs = [_run_cli(argv, workdir, env) for _ in range(repeats)]
+        if params.get("cache") == "warm":
+            _run_cli(argv, workdir, env)  # an untimed call stores the parse
+        runs = []
+        for _ in range(repeats):
+            if params.get("cache") == "cold":
+                shutil.rmtree(cache, ignore_errors=True)  # so the call parses, as every call did before the cache
+            runs.append(_run_cli(argv, workdir, env))
         seconds = [s for s, _, _ in runs]
         q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
         report[name] = {"params": params, "argv": argv, "repeats": repeats, "median_s": statistics.median(seconds),

@@ -8,14 +8,16 @@ Every call runs in-process through ``coxscreen.cli.main`` with OUTDIR as the
 working directory, so all paths in the outputs are relative. Each call NAME
 leaves the files it writes (named after NAME) and ``NAME.log``, which holds
 its exit code, stdout and stderr. The script prints one ``NAME exit=CODE``
-line per call.
+line per call. The CLI keeps its parsed inputs in ``OUTDIR/.coxscreen-cache``,
+so the first call on an input parses it and later ones load the parse;
+``NAME-warm`` repeats a call on the tied input with only ``--out`` changed.
 
 To check that a change leaves the CLI output byte for byte the same, run the
 script once against each checkout's ``src`` and compare the two directories:
 
     PYTHONPATH=../parent/src python tools/cli_matrix.py /tmp/before
     PYTHONPATH=src python tools/cli_matrix.py /tmp/after
-    diff -r /tmp/before /tmp/after
+    diff -r -x .coxscreen-cache /tmp/before /tmp/after
 """
 
 from __future__ import annotations
@@ -179,6 +181,10 @@ def calls():
         ("screen-overflow", ["screen", "--input", "overflow.csv", "--conditioning", "1",
                              "--out", "screen-overflow.csv"]),
     ]
+    # the first call on tied.csv parsed it and stored the parse in .coxscreen-cache; these repeats load it
+    argvs = dict(runs)
+    for name in ("screen-tied-cnone-csv", "diagnose-tied"):
+        runs.append((f"{name}-warm", [*argvs[name][:-1], f"{name}-warm.csv"]))
     for cond in ("1", "auto", "none"):
         name = f"benchmark-c{cond}"
         runs.append((name, ["benchmark", "--example", "1", *SIZE, "--replicates", "2",
