@@ -5,8 +5,8 @@ flags and seed are byte-identical. Nonzero exits print a single diagnostic
 line ``error category=<io|validation|fit|config>: <message>`` on stderr.
 
 screen and diagnose write a ``.coxscreen-cache/`` directory beside their
---input, holding the parsed input (see ``data.read_csv_cached``); a later run
-on the same bytes loads it instead of parsing, with the same outputs.
+--input, holding the parsed input (see ``data.load_parsed``); a later run on
+the same bytes loads it instead of parsing, with the same outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import benchmark, diagnostics, metrics, screening, simulate
-from .data import read_csv, read_csv_cached, write_csv, write_rows
+from .data import load_parsed, read_csv, store_parsed, write_csv, write_rows
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -52,12 +52,22 @@ def _sim_config(args):
     return simulate.example_config(args.example, **overrides)
 
 
+def _read_input(path, time_col, status_col):
+    """The dataset in the CSV at path: loaded from the parse cache, or parsed and stored there."""
+    dataset, key = load_parsed(path, time_col, status_col)
+    if dataset is None:
+        dataset = read_csv(path, time_col, status_col)
+        if key is not None:
+            store_parsed(path, time_col, status_col, key, dataset)
+    return dataset
+
+
 def _dataset_and_conditioning(args):
     """The --input dataset, through the parse cache, and the C that --conditioning names on it.
 
     An auto C is reported on stderr.
     """
-    dataset = read_csv_cached(args.input, args.time_col, args.status_col, read_csv)
+    dataset = _read_input(args.input, args.time_col, args.status_col)
     cond = screening.resolve_conditioning(args.conditioning, dataset)
     if args.conditioning == screening.AUTO:
         print(f"conditioning=auto selected C={list(cond.indices)}", file=sys.stderr)

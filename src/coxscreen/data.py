@@ -291,48 +291,78 @@ def _read_blocks(path, time_col, status_col):
 
 
 _CACHE_DIR = ".coxscreen-cache"
-_CACHE_MAGIC = b"coxscreen parsed csv\n"
+_CACHE_MAGIC = b"coxscreen parsed csv 2\n"
+_CACHE_DTYPES = "<f8", np.int8, "<f8"  # time, status and covariates as an entry stores them
 _HASH_CHUNK = 1 << 16
 
 
-def read_csv_cached(path, time_col="time", status_col="status", parse=read_csv) -> SurvivalDataset:
-    """The dataset parse(path, time_col, status_col) gives, through a cache of parsed inputs.
+def load_parsed(path, time_col, status_col):
+    """Look up the parse of the CSV at path in the cache beside it: (dataset, key).
 
     The cache is a .coxscreen-cache directory beside the file, with one entry
     per file name. An entry is keyed by the SHA-256 of this module's source,
     the two column names and the file's bytes, so changed bytes, other names
-    or changed parsing rules never load a dataset parsed before. A hit loads
-    the stored arrays and builds the dataset through its usual checks. A miss
-    parses and stores the dataset only if the file hashes the same after the
-    parse; the entry is written to a temporary file and renamed over the
-    file name's previous entry. A file that is not regular, such as a pipe,
-    is parsed once and never cached, and any failure of the cache falls back
-    to the parse, so the dataset and any error are the parse's.
+    or changed parsing rules never load an old parse. dataset is the stored
+    parse, built through SurvivalDataset's checks, or None on a miss. key is
+    what store_parsed stores the parse under, or None when the file is not to
+    be cached: it is not a regular file (a pipe is read only once, by the
+    parse) or it cannot be read.
 
-    parse is read_csv or a wrapper of it. The CLI passes the name it
-    imported, so that a wrapper installed there (perfbench's tracer) sees
-    each parse.
+    The cache is used only when the directory belongs to this user and no one
+    else can write to it, and an entry loads only when its arrays match the
+    digest stored with them. Anything else is a miss.
     """
     try:
-        key = _input_key(path, time_col, status_col) if os.path.isfile(path) else None
+        if os.name != "posix" or not os.path.isfile(path):
+            return None, None
+        key = _input_key(path, time_col, status_col)
     except OSError:
-        key = None
-    if key is None:  # outside the try, so an error of the parse is never followed by a second read
-        return parse(path, time_col, status_col)
+        return None, None
     directory, name = os.path.split(path)
-    entry = os.path.join(directory, _CACHE_DIR, name + ".parsed")
-    dataset = _load_entry(entry, key)
-    if dataset is None:
-        dataset = parse(path, time_col, status_col)
-        with contextlib.suppress(OSError):
-            if _input_key(path, time_col, status_col) == key:
-                _store_entry(entry, key, dataset)
-    return dataset
+    with contextlib.suppress(OSError, ValueError, KeyError, TypeError, ValidationError):
+        with _cache_dir(directory, create=False) as dir_fd:
+            return _load_entry(dir_fd, name + ".parsed", key), key
+    return None, key
+
+
+def store_parsed(path, time_col, status_col, key, dataset):
+    """Store dataset, the parse of the CSV at path, under the key load_parsed gave.
+
+    Nothing is stored when the file no longer hashes to key, or when the cache
+    directory cannot be made, is not this user's own or is writable by others.
+    The entry is written to a new temporary file, which no existing file or
+    link can stand in for, and renamed over the file name's previous entry.
+    Any OSError stores nothing.
+    """
+    import hashlib  # only the cache needs it, so importing coxscreen does not load it
+
+    with contextlib.suppress(OSError):
+        if _input_key(path, time_col, status_col) != key:
+            return
+        arrays = [np.ascontiguousarray(a, dtype)  # the dataset's own buffers, not copies
+                  for a, dtype in zip((dataset.time, dataset.status, dataset.covariates), _CACHE_DTYPES)]
+        header = json.dumps({"n": dataset.n, "names": dataset.covariate_names}).encode() + b"\n"
+        digest = hashlib.sha256(header)
+        for a in arrays:
+            digest.update(a)
+        directory, name = os.path.split(path)
+        temporary = f"{name}.parsed.{os.urandom(8).hex()}.tmp"
+        with _cache_dir(directory, create=True) as dir_fd:
+            with _new_file(dir_fd, temporary) as fh:
+                try:
+                    for part in (_CACHE_MAGIC, key, digest.digest(), header, *arrays):
+                        fh.write(part)
+                    fh.close()
+                    os.replace(temporary, name + ".parsed", src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
+                except BaseException:
+                    with contextlib.suppress(OSError):
+                        os.remove(temporary, dir_fd=dir_fd)
+                    raise
 
 
 def _input_key(path, time_col, status_col):
     """SHA-256 of this module's source, the column names and the file's bytes, read a chunk at a time."""
-    import hashlib  # only the cached read needs it, so importing coxscreen does not load it
+    import hashlib
 
     digest = hashlib.sha256()
     with open(__file__, "rb") as fh:
@@ -346,47 +376,61 @@ def _input_key(path, time_col, status_col):
     return digest.digest()
 
 
-def _load_entry(entry, key):
-    """The dataset stored in entry under key; None if there is none, it has another key or it is damaged."""
+@contextlib.contextmanager
+def _cache_dir(directory, create):
+    """A descriptor of the cache directory in directory, made first if create.
+
+    Raises PermissionError unless the directory is this user's own and no one
+    else can write to it: another user could otherwise put entries there, or
+    links at the names the cache writes. Later opens go through the
+    descriptor, so a directory moved into its place meanwhile is not used.
+    """
+    path = os.path.join(directory, _CACHE_DIR)
+    made = False
+    if create:
+        with contextlib.suppress(FileExistsError):
+            os.mkdir(path, 0o700)
+            made = True
+    dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
     try:
-        with open(entry, "rb") as fh:
-            if fh.read(len(_CACHE_MAGIC) + len(key)) != _CACHE_MAGIC + key:
+        info = os.fstat(dir_fd)
+        if info.st_uid != os.getuid() or info.st_mode & 0o022:
+            raise PermissionError(f"{path} is not a directory of this user's that only they can write")
+        if made:
+            with _new_file(dir_fd, ".gitignore") as fh:
+                fh.write(b"# Created by coxscreen automatically.\n*\n")
+        yield dir_fd
+    finally:
+        os.close(dir_fd)
+
+
+def _new_file(dir_fd, name):
+    """A binary file opened for writing at name in dir_fd, which must not exist, not even as a link."""
+    return open(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o600, dir_fd=dir_fd), "wb")
+
+
+def _load_entry(dir_fd, name, key):
+    """The dataset stored at name in dir_fd under key; None if it has another key or is damaged."""
+    import hashlib
+
+    with open(os.open(name, os.O_RDONLY | os.O_NOFOLLOW, dir_fd=dir_fd), "rb") as fh:
+        if fh.read(len(_CACHE_MAGIC) + len(key)) != _CACHE_MAGIC + key:
+            return None
+        stored = fh.read(len(key))
+        header = fh.readline()
+        fields = json.loads(header)
+        n, names = fields["n"], fields["names"]
+        if os.fstat(fh.fileno()).st_size != fh.tell() + n * (8 + 1 + 8 * len(names)):
+            return None  # truncated: a row is its time, status and covariates
+        digest = hashlib.sha256(header)
+        arrays = [np.empty(shape, dtype) for shape, dtype in zip(((n,), (n,), (n, len(names))), _CACHE_DTYPES)]
+        for a in arrays:
+            if fh.readinto(a) != a.nbytes:
                 return None
-            header = json.loads(fh.readline())
-            n, names = header["n"], header["names"]
-            if os.fstat(fh.fileno()).st_size != fh.tell() + n * (8 + 1 + 8 * len(names)):
-                return None  # truncated: a row is its time, status and covariates
-            arrays = np.empty(n, "<f8"), np.empty(n, np.int8), np.empty((n, len(names)), "<f8")
-            for a in arrays:
-                if fh.readinto(a) != a.nbytes:
-                    return None
-        return SurvivalDataset(*arrays, names)
-    except (OSError, ValueError, KeyError, TypeError, ValidationError):  # unreadable or damaged
-        return None
-
-
-def _store_entry(entry, key, dataset):
-    """Write dataset to entry under key: its arrays, little-endian, straight from their buffers."""
-    directory = os.path.dirname(entry)
-    try:
-        os.mkdir(directory)
-    except FileExistsError:
-        pass
-    else:
-        with open(os.path.join(directory, ".gitignore"), "w", encoding="utf-8") as fh:
-            fh.write("# Created by coxscreen automatically.\n*\n")
-    temporary = f"{entry}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "wb") as fh:
-            fh.write(_CACHE_MAGIC + key)
-            fh.write(json.dumps({"n": dataset.n, "names": dataset.covariate_names}).encode() + b"\n")
-            for a, dtype in ((dataset.time, "<f8"), (dataset.status, np.int8), (dataset.covariates, "<f8")):
-                fh.write(np.ascontiguousarray(a, dtype))
-        os.replace(temporary, entry)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
-        raise
+            digest.update(a)
+    if digest.digest() != stored:
+        return None  # damaged
+    return SurvivalDataset(*arrays, names)
 
 
 def write_rows(path, header, rows):

@@ -65,7 +65,7 @@ def test_tiny_grid_schema(tmp_path, capsys):
     assert set(report["cli"]) == CLI
     for name, run in report["cli"].items():
         assert set(run) == CLI_KEYS, name
-        assert name.startswith(run["argv"][0]) and run["repeats"] == grid.SIZES["tiny"]["repeats"]
+        assert run["argv"][0] == name.split("-")[0] and run["repeats"] == grid.SIZES["tiny"]["repeats"]
         if run["argv"][0] in ("screen", "diagnose"):
             shape = grid.SIZES["tiny"]["dlbcl" if "-dlbcl" in name else "replicate"]
             assert (run["params"]["n"], run["params"]["p"]) == shape, name

@@ -295,14 +295,10 @@ def _run_into(capsys, outdir, argv):
     return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
-def _parse_only(path, time_col, status_col, parse):
-    return parse(path, time_col, status_col)
-
-
 def _run_uncached(monkeypatch, capsys, outdir, argv):
     """_run_into with the CLI parsing its input, as it did before the cache."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "read_csv_cached", _parse_only)
+        m.setattr(cli, "load_parsed", lambda *args: (None, None))
         return _run_into(capsys, outdir, argv)
 
 
@@ -329,6 +325,7 @@ class TestParseCache:
         assert parsed == [toy_csv]
         assert sorted(os.listdir(tmp_path / CACHE)) == [".gitignore", "toy.csv.parsed"]
         assert (tmp_path / CACHE / ".gitignore").read_text().endswith("\n*\n")
+        assert (tmp_path / CACHE).stat().st_mode & 0o777 == 0o700
         assert _run_into(capsys, tmp_path / "warm", argv) == expected
         assert parsed == [toy_csv]
 
@@ -371,19 +368,61 @@ class TestParseCache:
         assert _run_into(capsys, tmp_path / "renamed", [*argv, *flags]) == expected
         assert parsed == [str(path)]
 
-    @pytest.mark.parametrize("damage", ["truncated-arrays", "truncated-header", "garbage"])
+    @pytest.mark.parametrize("damage", ["truncated-arrays", "truncated-header", "garbage", "one-bit"])
     def test_damaged_entry_is_parsed_again_and_rewritten(self, toy_csv, tmp_path, monkeypatch, capsys,
                                                          damage):
         argv = _cached_call("screen-csv", toy_csv)
         expected = _run_into(capsys, tmp_path / "cold", argv)
         entry = tmp_path / CACHE / "toy.csv.parsed"
         stored = entry.read_bytes()
+        flipped = bytearray(stored)
+        flipped[-3] ^= 1  # a low bit of the last covariate: the entry keeps its size and loads as numbers
         entry.write_bytes({"truncated-arrays": stored[:-8], "truncated-header": stored[:60],
-                           "garbage": bytes(range(256)) * (len(stored) // 256)}[damage])
+                           "garbage": bytes(range(256)) * (len(stored) // 256), "one-bit": flipped}[damage])
         parsed = _count_parses(monkeypatch)
         assert _run_into(capsys, tmp_path / "damaged", argv) == expected
         assert parsed == [toy_csv]
         assert entry.read_bytes() == stored
+
+    @pytest.mark.parametrize("foreign", ["other-owner", "group-writable", "other-writable", "link"])
+    def test_cache_directory_others_can_write_is_not_used(self, toy_csv, tmp_path, monkeypatch, capsys,
+                                                          foreign):
+        argv = _cached_call("screen-csv", toy_csv)
+        expected = _run_uncached(monkeypatch, capsys, tmp_path / "uncached", argv)
+        # an entry under the input's true key, with arrays that are not in the input
+        ds = read_csv(toy_csv)
+        planted = data.SurvivalDataset(ds.time, ds.status, ds.covariates[::-1], ds.covariate_names)
+        _, key = data.load_parsed(toy_csv, "time", "status")
+        data.store_parsed(toy_csv, "time", "status", key, planted)
+        cache = tmp_path / CACHE
+        assert _run_into(capsys, tmp_path / "planted", argv)[2] != expected[2]  # a private cache loads it
+        stored = (cache / "toy.csv.parsed").read_bytes()
+        if foreign == "other-owner":
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        elif foreign == "link":
+            cache = cache.rename(tmp_path / "elsewhere")
+            (tmp_path / CACHE).symlink_to(cache)
+        else:
+            cache.chmod(0o770 if foreign == "group-writable" else 0o707)
+        parsed = _count_parses(monkeypatch)
+        assert _run_into(capsys, tmp_path / "foreign", argv) == expected
+        assert parsed == [toy_csv]
+        assert sorted(os.listdir(cache)) == [".gitignore", "toy.csv.parsed"]
+        assert (cache / "toy.csv.parsed").read_bytes() == stored
+
+    def test_link_at_the_temporary_name_is_not_followed(self, toy_csv, tmp_path, monkeypatch, capsys):
+        argv = _cached_call("screen-csv", toy_csv)
+        expected = _run_into(capsys, tmp_path / "cold", argv)
+        entry = tmp_path / CACHE / "toy.csv.parsed"
+        entry.unlink()
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"kept")
+        monkeypatch.setattr(os, "urandom", lambda size: bytes(size))  # the temporary name becomes known
+        link = tmp_path / CACHE / f"toy.csv.parsed.{bytes(8).hex()}.tmp"
+        link.symlink_to(victim)
+        assert _run_into(capsys, tmp_path / "linked", argv) == expected
+        assert victim.read_bytes() == b"kept" and link.is_symlink() and not entry.exists()
 
     def test_read_only_directory_gets_nothing_written(self, toy_csv, tmp_path, monkeypatch, capsys):
         folder = tmp_path / "read-only"

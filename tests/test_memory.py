@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxscreen import cox
-from coxscreen.data import ConditioningSet, read_csv, read_csv_cached, write_csv
+from coxscreen import cli, cox
+from coxscreen.data import ConditioningSet, read_csv, write_csv
 from coxscreen.diagnostics import signal_strengths_to_csv
 from coxscreen.screening import result_to_json, screen
 
@@ -60,7 +60,7 @@ def test_cached_read_holds_no_more_than_a_parse(dataset, tmp_path, state):
     def call():
         if state == "miss":
             shutil.rmtree(tmp_path / ".coxscreen-cache", ignore_errors=True)
-        return read_csv_cached(path)
+        return cli._read_input(path, "time", "status")
 
     assert traced_peak(call) <= 1.54 * dataset.covariates.nbytes
 
